@@ -46,6 +46,10 @@ fi
 
 cargo build --release
 cargo test -q
+# Every test in the workspace: each crate's unit tests (the durability
+# and codec tests live in sqalpel-core's lib) and every integration suite,
+# including the ones named individually below.
+cargo test -q --release --workspace
 # The wire layer's loopback e2e suite: concurrent clients with injected
 # connection drops must drain the queue with zero double-reports.
 cargo test -q -p sqalpel-core --test wire_loopback
@@ -112,6 +116,12 @@ cargo test -q --release -p sqalpel-core --test bulk_differential
 # closed subscriptions, and push-subscribed worker pools drain late work
 # with queue.empty_polls pinned at zero.
 cargo test -q --release -p sqalpel-core --test push_props
+# The binary durability formats: random WAL records and populated states
+# round-trip (WAL only, snapshot, snapshot + tail), a WAL cut anywhere in
+# its last frame recovers the intact prefix, a flipped snapshot byte fails
+# with InvalidData, and hostile bytes fed to the v2 decoders and the WAL
+# parser never panic or allocate beyond a small multiple of their input.
+cargo test -q --release -p sqalpel-core --test durability_codec_props
 # Crash-recovery e2e: kill -9 a durable `repro serve` mid-walk, restart,
 # and require byte-identical acked results, re-hand-out of the open claim
 # to its original key only, and a snapshot on SIGTERM — plus the bulk

@@ -10,6 +10,8 @@
 //!                                             # many tasks at once and uploads each round as one
 //!                                             # ReportBatch (v2: columnar frames, one ack)
 //! repro metrics [addr]                        # print a server's /v1/metrics snapshot
+//! repro wal-dump <state-dir>                  # render a state dir's WAL records and
+//!                                             # snapshot sections for humans
 //! ```
 //!
 //! Environment: `SQALPEL_SF` sets the base TPC-H scale factor (default
@@ -35,6 +37,17 @@ fn main() {
             metrics(args.get(1).map(String::as_str));
             return;
         }
+        "wal-dump" => {
+            let Some(dir) = args.get(1) else {
+                eprintln!("usage: repro wal-dump <state-dir>");
+                std::process::exit(2);
+            };
+            if let Err(e) = wal_dump(std::path::Path::new(dir)) {
+                eprintln!("wal-dump {dir}: {e}");
+                std::process::exit(1);
+            }
+            return;
+        }
         _ => {}
     }
     let known = [
@@ -46,6 +59,7 @@ fn main() {
         eprintln!("       repro serve [addr] [--state-dir DIR]");
         eprintln!("       repro contribute <addr> <key> [dbms] [host] [--proto v1|v2] [--bulk]");
         eprintln!("       repro metrics [addr]");
+        eprintln!("       repro wal-dump <state-dir>");
         std::process::exit(2);
     }
     let t0 = Instant::now();
@@ -134,6 +148,95 @@ fn install_signal_handlers() {
     unsafe {
         signal(SIGINT, on_signal as *const () as usize);
         signal(SIGTERM, on_signal as *const () as usize);
+    }
+}
+
+/// `repro wal-dump <state-dir>`: the binary WAL and snapshot rendered
+/// for humans — one line per WAL record (lsn, kind, frame bytes, what it
+/// did), a per-kind summary, and the newest snapshot's section counts.
+fn wal_dump(dir: &std::path::Path) -> std::io::Result<()> {
+    use sqalpel_core::durability::{latest_snapshot, read_wal, snapshot_sections, WAL_FILE};
+    use std::collections::BTreeMap;
+
+    let scan = read_wal(&dir.join(WAL_FILE))?;
+    println!("{WAL_FILE}: {} records, {} bytes intact, {} torn", scan.records.len(), scan.intact_len, scan.torn);
+    println!("{:>10}  {:<22} {:>8}  what", "lsn", "kind", "bytes");
+    let mut kinds: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for e in &scan.records {
+        let kind = e.record.kind();
+        println!("{:>10}  {kind:<22} {:>8}  {}", e.lsn, e.bytes, describe(&e.record));
+        let k = kinds.entry(kind).or_default();
+        k.0 += 1;
+        k.1 += e.bytes as u64;
+    }
+    let by_kind: Vec<String> = kinds
+        .iter()
+        .map(|(kind, (n, bytes))| format!("{kind} {n} ({bytes} B)"))
+        .collect();
+    match (scan.records.first(), scan.records.last()) {
+        (Some(first), Some(last)) => println!(
+            "summary: lsn {}..={}, {}",
+            first.lsn,
+            last.lsn,
+            by_kind.join(", ")
+        ),
+        _ => println!("summary: empty"),
+    }
+
+    match latest_snapshot(dir)? {
+        None => println!("no snapshot"),
+        Some((path, lsn)) => {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            println!("{name}: lsn {lsn}, {} bytes", std::fs::metadata(&path)?.len());
+            println!("  {:<12} {:>8} {:>10} {:>12}", "section", "blocks", "items", "bytes");
+            for s in snapshot_sections(&path)? {
+                println!("  {:<12} {:>8} {:>10} {:>12}", s.kind, s.sections, s.items, s.bytes);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One line on what a WAL record did.
+fn describe(record: &sqalpel_core::WalRecord) -> String {
+    use sqalpel_core::WalRecord as W;
+    match record {
+        W::UserRegistered { id, nickname, .. } => format!("user #{} {nickname:?}", id.0),
+        W::KeyIssued { user, key, .. } => format!("key {} for user #{}", key.0, user.0),
+        W::DbmsAdded { entry } => format!("dbms {}", entry.label()),
+        W::HostAdded { entry } => format!("host {}", entry.name),
+        W::ProjectCreated { id, title, .. } => format!("project #{} {title:?}", id.0),
+        W::Invited { project, user } => format!("user #{} into project #{}", user.0, project.0),
+        W::TargetsSet { project, dbms_labels, hosts } => {
+            format!("project #{}: {} dbms, {} hosts", project.0, dbms_labels.len(), hosts.len())
+        }
+        W::CommentAdded { project, author, .. } => format!("by user #{} on project #{}", author.0, project.0),
+        W::TakenDown { project } => format!("project #{}", project.0),
+        W::ExperimentAdded { project, id, title, .. } => {
+            format!("experiment #{} {title:?} in project #{}", id.0, project.0)
+        }
+        W::PoolExtended { project, experiment, entries } => format!(
+            "{} pool entries for experiment #{} of project #{}",
+            entries.len(),
+            experiment.0,
+            project.0
+        ),
+        W::TasksEnqueued { project, tasks } => format!("{} tasks in project #{}", tasks.len(), project.0),
+        W::TaskClaimed { task, key } => format!("task {} by {}", task.0, key.0),
+        W::ReportAccepted { task, key, error, record } => format!(
+            "task {} by {}: {} times, {} rows{}",
+            task.0,
+            key.0,
+            record.times_ms.len(),
+            record.rows,
+            error.as_ref().map(|e| format!(", error {e:?}")).unwrap_or_default()
+        ),
+        W::ReportBatchAccepted { key, items } => format!("{} reports by {}", items.len(), key.0),
+        W::TasksReaped { project, tasks } => format!("{} tasks in project #{}", tasks.len(), project.0),
+        W::TaskRequeued { task } => format!("task {}", task.0),
+        W::ResultHidden { project, index, hidden } => {
+            format!("result #{index} of project #{} hidden={hidden}", project.0)
+        }
     }
 }
 

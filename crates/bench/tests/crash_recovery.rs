@@ -178,7 +178,7 @@ fn kill_nine_mid_walk_loses_nothing() {
         .filter(|e| {
             let name = e.file_name();
             let name = name.to_string_lossy();
-            name.starts_with("snapshot-") && name.ends_with(".jsonl")
+            name.starts_with("snapshot-") && name.ends_with(".snap")
         })
         .count();
     assert!(snapshots >= 1, "graceful shutdown leaves a snapshot behind");

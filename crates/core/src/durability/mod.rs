@@ -4,9 +4,9 @@
 //! The contract: **once an operation is acknowledged, it survives a
 //! crash.** The server logs a typed [`WalRecord`] for every mutation
 //! *before* releasing the lock that made it (so WAL order equals
-//! mutation order per lock domain), flushed to the OS per record. A
+//! mutation order per lock domain), written to the OS per record. A
 //! bulk upload group-commits: all of its reports ride one
-//! [`WalRecord::ReportBatchAccepted`] line — one append, one flush, one
+//! [`WalRecord::ReportBatchAccepted`] frame — one append, one write, one
 //! checksum — so the batch is acknowledged, and replays, atomically.
 //! Snapshots bound replay time; the WAL is truncated when one lands.
 //! Records carry their LSN, so on boot [`recover`] loads the newest
@@ -16,14 +16,21 @@
 //! interrupted an append whose operation was never acknowledged — is
 //! discarded, which is precisely the at-least-acknowledged, at-most-once
 //! semantics the wire protocol's idempotent retries expect.
+//!
+//! The WAL and snapshots are binary, in the [`crate::codec`] wire v2
+//! speaks, behind a format version byte ([`crate::codec::FORMAT_VERSION`]);
+//! see [`wal`] and [`snapshot`] for the layouts. A state directory
+//! written in another format is refused at open, never read as empty.
 
 pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
-pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot};
-pub use wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
+pub use snapshot::{
+    latest_snapshot, read_snapshot, snapshot_sections, state_fingerprint, write_snapshot,
+};
+pub use wal::{parse_wal, read_wal, WalRecord, WalWriter, WAL_FILE};
 
 use crate::shard::{GlobalShard, ProjectShard};
 use parking_lot::Mutex;
@@ -42,7 +49,8 @@ impl Durability {
     pub fn open(dir: &Path) -> io::Result<(Durability, RecoveredState)> {
         std::fs::create_dir_all(dir)?;
         let recovered = recover(dir)?;
-        let wal = WalWriter::open(dir, recovered.next_lsn)?;
+        let mut wal = WalWriter::open(dir, recovered.next_lsn)?;
+        wal.truncate_to(recovered.wal_intact_len)?;
         Ok((
             Durability {
                 dir: dir.to_path_buf(),
@@ -56,7 +64,7 @@ impl Durability {
         &self.dir
     }
 
-    /// Append one record, flushed to the OS. Returns the framed byte
+    /// Append one record, written to the OS. Returns the frame's byte
     /// length. The caller must hold the lock of the state it mutated.
     pub fn log(&self, record: &WalRecord) -> io::Result<u64> {
         self.wal.lock().append(record)
@@ -83,5 +91,40 @@ impl Durability {
     /// Fsync the WAL without truncating (graceful shutdown).
     pub fn sync(&self) -> io::Result<()> {
         self.wal.lock().sync()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sqalpel-durability-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A format-1 directory — JSON-lines snapshot, text-framed WAL — must
+    /// not open as an empty platform: that would drop acked results.
+    #[test]
+    fn open_refuses_format_one_state_dirs() {
+        let dir = tmp_dir("old-snapshot");
+        std::fs::write(dir.join("snapshot-00000000000000000012.jsonl"), "{\"t\":\"end\"}\n").unwrap();
+        std::fs::write(dir.join(WAL_FILE), "").unwrap();
+        let err = Durability::open(&dir).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("format version 2"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = tmp_dir("old-wal");
+        let line = "1 2 000000000000abcd {}\n";
+        std::fs::write(dir.join(WAL_FILE), line).unwrap();
+        let err = Durability::open(&dir).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("format version 2"), "{err}");
+        // The refused log is left exactly as it was.
+        assert_eq!(std::fs::read_to_string(dir.join(WAL_FILE)).unwrap(), line);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

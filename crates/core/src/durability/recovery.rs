@@ -8,7 +8,7 @@
 //! recovery rather than guessing.
 
 use super::snapshot::{latest_snapshot, read_snapshot};
-use super::wal::{read_wal, WalRecord, WAL_FILE};
+use super::wal::{read_wal, WalEntry, WalRecord, WAL_FILE};
 use crate::catalog::Catalogs;
 use crate::project::Project;
 use crate::shard::{GlobalShard, ProjectShard};
@@ -38,12 +38,16 @@ pub struct RecoveredState {
     pub skipped_records: u64,
     /// Sequence number the reopened WAL continues from.
     pub next_lsn: u64,
-    /// Torn lines discarded at the WAL tail.
+    /// Torn frames discarded at the WAL tail.
     pub torn_records: usize,
+    /// Bytes of the WAL's intact prefix: where appends resume.
+    pub wal_intact_len: u64,
 }
 
 /// Recover platform state from `dir`. An empty or missing directory
-/// yields a fresh state (bootstrap catalogs, no users, no projects).
+/// yields a fresh state (bootstrap catalogs, no users, no projects). A
+/// directory written in another state format is an `InvalidData` error:
+/// coming up empty beside it would silently lose acknowledged results.
 pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
     let (mut global, mut shards, snapshot_lsn) = match latest_snapshot(dir)? {
         Some((path, lsn)) => {
@@ -60,11 +64,11 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
         ),
     };
 
-    let (records, torn_records) = read_wal(&dir.join(WAL_FILE))?;
+    let wal = read_wal(&dir.join(WAL_FILE))?;
     let mut replayed_records = 0u64;
     let mut skipped_records = 0u64;
     let mut last_lsn = snapshot_lsn;
-    for (lsn, record) in records {
+    for WalEntry { lsn, record, .. } in wal.records {
         if lsn <= snapshot_lsn {
             // The crash landed after the snapshot was persisted but
             // before the WAL truncation reached disk: the record's
@@ -90,7 +94,8 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
         replayed_records,
         skipped_records,
         next_lsn: last_lsn,
-        torn_records,
+        torn_records: wal.torn,
+        wal_intact_len: wal.intact_len,
     })
 }
 

@@ -10,41 +10,51 @@
 //! that cannot be serialized, and without which a replayed morph walk
 //! would diverge.)
 //!
-//! Framing is one record per line: `<lsn> <len> <fnv64> <json>\n`,
-//! where `lsn` is the record's log sequence number, `len` the byte
-//! length of the JSON text and `fnv64` its FNV-1a checksum. A torn
-//! tail — short line, bad length, bad checksum — ends replay at the
-//! last intact record, which is exactly the prefix the platform
-//! acknowledged before the crash. The LSN stamp lets recovery skip
-//! records a snapshot already contains: if a crash lands between
-//! persisting a snapshot and truncating the log, the stale prefix
-//! (lsn <= snapshot lsn) is ignored instead of replayed twice.
+//! # Format
 //!
-//! Each append is flushed to the OS before the operation acks, which
+//! The file opens with an 8-byte header, the magic `SQALWAL` and the
+//! format version byte ([`FORMAT_VERSION`], 2). Then one frame per
+//! record:
+//!
+//! ```text
+//! [lsn: u64 LE] [len: u32 LE] [fnv64: u64 LE] [body: len bytes]
+//! body = [kind: u8] [fields in the shared binary codec]
+//! ```
+//!
+//! `lsn` is the record's log sequence number and `fnv64` the FNV-1a
+//! checksum of the lsn, the length and the body. The body encodes its
+//! fields with [`crate::codec`], the same bytes wire v2 sends: a result
+//! record is a one-row columnar block, a group commit one block of all
+//! its records. A torn tail — short frame, bad length, bad checksum, a
+//! body that does not decode — ends replay at the last intact record,
+//! which is exactly the prefix the platform acknowledged before the
+//! crash; reopening cuts the file back to that prefix before appending.
+//! The LSN stamp lets recovery skip records a snapshot already contains:
+//! if a crash lands between persisting a snapshot and truncating the
+//! log, the stale prefix (lsn <= snapshot lsn) is ignored instead of
+//! replayed twice. A file without the header (the text-framed JSON log
+//! of format 1) is refused with `InvalidData`.
+//!
+//! Each append is written to the OS before the operation acks, which
 //! survives process death (`kill -9`). Full fsync happens at snapshot
 //! time; the log is truncated there, so the WAL is always the tail
 //! since the latest snapshot.
 
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
+use crate::codec::{
+    file_header, fnv64, fnv64_from, read_dbms, read_host, read_pool_entry, read_records, read_strs,
+    read_task, read_u64s, read_visibility, write_dbms, write_host, write_pool_entry, write_records,
+    write_strs, write_task, write_u64s, write_visibility, D, FORMAT_VERSION, MIN_POOL_ENTRY_BYTES,
+    MIN_TASK_BYTES, R, W,
+};
 use crate::pool::PoolEntry;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::{Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a over a byte string — the per-record checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// One durable platform mutation.
 ///
@@ -133,7 +143,7 @@ pub enum WalRecord {
         record: ResultRecord,
     },
     /// One bulk upload's accepted reports as a single group commit: one
-    /// framed line, one checksum, so a torn tail drops the whole batch
+    /// frame, one checksum, so a torn tail drops the whole batch
     /// atomically — an unacked batch never replays partially.
     ReportBatchAccepted {
         key: ContributorKey,
@@ -154,56 +164,78 @@ pub enum WalRecord {
     },
 }
 
+/// Record kind names, indexed by the kind byte minus one.
+const KIND_NAMES: [&str; 18] = [
+    "user_registered",
+    "key_issued",
+    "dbms_added",
+    "host_added",
+    "project_created",
+    "invited",
+    "targets_set",
+    "comment_added",
+    "taken_down",
+    "experiment_added",
+    "pool_extended",
+    "tasks_enqueued",
+    "task_claimed",
+    "report_accepted",
+    "report_batch_accepted",
+    "tasks_reaped",
+    "task_requeued",
+    "result_hidden",
+];
+
 impl WalRecord {
-    fn op(&self) -> &'static str {
+    /// The record's kind byte (1-based, in declaration order).
+    fn kind_byte(&self) -> u8 {
         match self {
-            WalRecord::UserRegistered { .. } => "user_registered",
-            WalRecord::KeyIssued { .. } => "key_issued",
-            WalRecord::DbmsAdded { .. } => "dbms_added",
-            WalRecord::HostAdded { .. } => "host_added",
-            WalRecord::ProjectCreated { .. } => "project_created",
-            WalRecord::Invited { .. } => "invited",
-            WalRecord::TargetsSet { .. } => "targets_set",
-            WalRecord::CommentAdded { .. } => "comment_added",
-            WalRecord::TakenDown { .. } => "taken_down",
-            WalRecord::ExperimentAdded { .. } => "experiment_added",
-            WalRecord::PoolExtended { .. } => "pool_extended",
-            WalRecord::TasksEnqueued { .. } => "tasks_enqueued",
-            WalRecord::TaskClaimed { .. } => "task_claimed",
-            WalRecord::ReportAccepted { .. } => "report_accepted",
-            WalRecord::ReportBatchAccepted { .. } => "report_batch_accepted",
-            WalRecord::TasksReaped { .. } => "tasks_reaped",
-            WalRecord::TaskRequeued { .. } => "task_requeued",
-            WalRecord::ResultHidden { .. } => "result_hidden",
+            WalRecord::UserRegistered { .. } => 1,
+            WalRecord::KeyIssued { .. } => 2,
+            WalRecord::DbmsAdded { .. } => 3,
+            WalRecord::HostAdded { .. } => 4,
+            WalRecord::ProjectCreated { .. } => 5,
+            WalRecord::Invited { .. } => 6,
+            WalRecord::TargetsSet { .. } => 7,
+            WalRecord::CommentAdded { .. } => 8,
+            WalRecord::TakenDown { .. } => 9,
+            WalRecord::ExperimentAdded { .. } => 10,
+            WalRecord::PoolExtended { .. } => 11,
+            WalRecord::TasksEnqueued { .. } => 12,
+            WalRecord::TaskClaimed { .. } => 13,
+            WalRecord::ReportAccepted { .. } => 14,
+            WalRecord::ReportBatchAccepted { .. } => 15,
+            WalRecord::TasksReaped { .. } => 16,
+            WalRecord::TaskRequeued { .. } => 17,
+            WalRecord::ResultHidden { .. } => 18,
         }
     }
-}
 
-impl Serialize for WalRecord {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("op".into(), self.op().into());
+    /// The record kind's name, e.g. `"report_accepted"`.
+    pub fn kind(&self) -> &'static str {
+        KIND_NAMES[self.kind_byte() as usize - 1]
+    }
+
+    /// Encode the record body: the kind byte, then its fields.
+    pub(crate) fn encode(&self, w: &mut W) {
+        w.u8(self.kind_byte());
         match self {
             WalRecord::UserRegistered {
                 id,
                 nickname,
                 email,
             } => {
-                m.insert("id".into(), id.0.into());
-                m.insert("nickname".into(), nickname.clone().into());
-                m.insert("email".into(), email.clone().into());
+                w.u64(id.0);
+                w.str(nickname);
+                w.str(email);
             }
             WalRecord::KeyIssued { user, key, counter } => {
-                m.insert("user".into(), user.0.into());
-                m.insert("key".into(), key.0.clone().into());
-                m.insert("counter".into(), (*counter).into());
+                w.u64(user.0);
+                w.str(&key.0);
+                w.u64(*counter);
             }
-            WalRecord::DbmsAdded { entry } => {
-                m.insert("entry".into(), entry.to_value());
-            }
-            WalRecord::HostAdded { entry } => {
-                m.insert("entry".into(), entry.to_value());
-            }
+            WalRecord::DbmsAdded { entry } => write_dbms(w, entry),
+            WalRecord::HostAdded { entry } => write_host(w, entry),
             WalRecord::ProjectCreated {
                 id,
                 owner,
@@ -211,37 +243,35 @@ impl Serialize for WalRecord {
                 synopsis,
                 visibility,
             } => {
-                m.insert("id".into(), id.0.into());
-                m.insert("owner".into(), owner.0.into());
-                m.insert("title".into(), title.clone().into());
-                m.insert("synopsis".into(), synopsis.clone().into());
-                m.insert("visibility".into(), visibility.to_value());
+                w.u64(id.0);
+                w.u64(owner.0);
+                w.str(title);
+                w.str(synopsis);
+                write_visibility(w, *visibility);
             }
             WalRecord::Invited { project, user } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("user".into(), user.0.into());
+                w.u64(project.0);
+                w.u64(user.0);
             }
             WalRecord::TargetsSet {
                 project,
                 dbms_labels,
                 hosts,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("dbms_labels".into(), dbms_labels.clone().into());
-                m.insert("hosts".into(), hosts.clone().into());
+                w.u64(project.0);
+                write_strs(w, dbms_labels);
+                write_strs(w, hosts);
             }
             WalRecord::CommentAdded {
                 project,
                 author,
                 text,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("author".into(), author.0.into());
-                m.insert("text".into(), text.clone().into());
+                w.u64(project.0);
+                w.u64(author.0);
+                w.str(text);
             }
-            WalRecord::TakenDown { project } => {
-                m.insert("project".into(), project.0.into());
-            }
+            WalRecord::TakenDown { project } => w.u64(project.0),
             WalRecord::ExperimentAdded {
                 project,
                 id,
@@ -252,39 +282,37 @@ impl Serialize for WalRecord {
                 pool_cap,
                 dialect,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("id".into(), id.0.into());
-                m.insert("title".into(), title.clone().into());
-                m.insert("baseline_sql".into(), baseline_sql.clone().into());
-                m.insert("grammar".into(), grammar.clone().into());
-                m.insert("template_cap".into(), (*template_cap).into());
-                m.insert("pool_cap".into(), (*pool_cap).into());
-                if let Some(d) = dialect {
-                    m.insert("dialect".into(), d.clone().into());
-                }
+                w.u64(project.0);
+                w.u64(id.0);
+                w.str(title);
+                w.str(baseline_sql);
+                w.str(grammar);
+                w.u64(*template_cap as u64);
+                w.u64(*pool_cap as u64);
+                w.opt_str(dialect.as_deref());
             }
             WalRecord::PoolExtended {
                 project,
                 experiment,
                 entries,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("experiment".into(), experiment.0.into());
-                m.insert(
-                    "entries".into(),
-                    Value::Array(entries.iter().map(|e| e.to_value()).collect()),
-                );
+                w.u64(project.0);
+                w.u64(experiment.0);
+                w.u32(entries.len() as u32);
+                for e in entries {
+                    write_pool_entry(w, e);
+                }
             }
             WalRecord::TasksEnqueued { project, tasks } => {
-                m.insert("project".into(), project.0.into());
-                m.insert(
-                    "tasks".into(),
-                    Value::Array(tasks.iter().map(|t| t.to_value()).collect()),
-                );
+                w.u64(project.0);
+                w.u32(tasks.len() as u32);
+                for t in tasks {
+                    write_task(w, t);
+                }
             }
             WalRecord::TaskClaimed { task, key } => {
-                m.insert("task".into(), task.0.into());
-                m.insert("key".into(), key.0.clone().into());
+                w.u64(task.0);
+                w.str(&key.0);
             }
             WalRecord::ReportAccepted {
                 task,
@@ -292,219 +320,206 @@ impl Serialize for WalRecord {
                 error,
                 record,
             } => {
-                m.insert("task".into(), task.0.into());
-                m.insert("key".into(), key.0.clone().into());
-                if let Some(e) = error {
-                    m.insert("error".into(), e.clone().into());
-                }
-                m.insert("record".into(), record.to_value());
+                w.u64(task.0);
+                w.str(&key.0);
+                w.opt_str(error.as_deref());
+                write_records(w, std::slice::from_ref(record));
             }
             WalRecord::ReportBatchAccepted { key, items } => {
-                m.insert("key".into(), key.0.clone().into());
-                m.insert(
-                    "items".into(),
-                    Value::Array(
-                        items
-                            .iter()
-                            .map(|(task, error, record)| {
-                                let mut item = serde_json::Map::new();
-                                item.insert("task".into(), task.0.into());
-                                if let Some(e) = error {
-                                    item.insert("error".into(), e.clone().into());
-                                }
-                                item.insert("record".into(), record.to_value());
-                                Value::Object(item)
-                            })
-                            .collect(),
-                    ),
-                );
+                w.str(&key.0);
+                write_u64s(w, items.iter().map(|(task, _, _)| task.0));
+                for (_, error, _) in items {
+                    w.opt_str(error.as_deref());
+                }
+                let records: Vec<&ResultRecord> = items.iter().map(|(_, _, r)| r).collect();
+                write_records(w, &records);
             }
             WalRecord::TasksReaped { project, tasks } => {
-                m.insert("project".into(), project.0.into());
-                m.insert(
-                    "tasks".into(),
-                    Value::Array(tasks.iter().map(|t| Value::from(t.0)).collect()),
-                );
+                w.u64(project.0);
+                write_u64s(w, tasks.iter().map(|t| t.0));
             }
-            WalRecord::TaskRequeued { task } => {
-                m.insert("task".into(), task.0.into());
-            }
+            WalRecord::TaskRequeued { task } => w.u64(task.0),
             WalRecord::ResultHidden {
                 project,
                 index,
                 hidden,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("index".into(), (*index).into());
-                m.insert("hidden".into(), (*hidden).into());
+                w.u64(project.0);
+                w.u64(*index as u64);
+                w.bool(*hidden);
             }
         }
-        Value::Object(m)
     }
-}
 
-impl Deserialize for WalRecord {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |k: &str| {
-            v[k].as_i64()
-                .map(|x| x as u64)
-                .ok_or(format!("wal record: missing {k}"))
-        };
-        let text = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or(format!("wal record: missing {k}"))
-        };
-        match v["op"].as_str().ok_or("wal record: missing op")? {
-            "user_registered" => Ok(WalRecord::UserRegistered {
-                id: UserId(num("id")?),
-                nickname: text("nickname")?,
-                email: text("email")?,
-            }),
-            "key_issued" => Ok(WalRecord::KeyIssued {
-                user: UserId(num("user")?),
-                key: ContributorKey(text("key")?),
-                counter: num("counter")?,
-            }),
-            "dbms_added" => Ok(WalRecord::DbmsAdded {
-                entry: DbmsEntry::from_value(&v["entry"])?,
-            }),
-            "host_added" => Ok(WalRecord::HostAdded {
-                entry: HostEntry::from_value(&v["entry"])?,
-            }),
-            "project_created" => Ok(WalRecord::ProjectCreated {
-                id: ProjectId(num("id")?),
-                owner: UserId(num("owner")?),
-                title: text("title")?,
-                synopsis: text("synopsis")?,
-                visibility: Visibility::from_value(&v["visibility"])?,
-            }),
-            "invited" => Ok(WalRecord::Invited {
-                project: ProjectId(num("project")?),
-                user: UserId(num("user")?),
-            }),
-            "targets_set" => {
-                let list = |k: &str| -> Result<Vec<String>, String> {
-                    v[k].as_array()
-                        .ok_or(format!("targets_set: missing {k}"))?
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .map(str::to_string)
-                                .ok_or(format!("targets_set: non-string in {k}"))
-                        })
-                        .collect()
-                };
-                Ok(WalRecord::TargetsSet {
-                    project: ProjectId(num("project")?),
-                    dbms_labels: list("dbms_labels")?,
-                    hosts: list("hosts")?,
-                })
+    /// Decode one record body written by [`WalRecord::encode`].
+    pub(crate) fn decode(r: &mut R<'_>) -> D<WalRecord> {
+        let record = match r.u8()? {
+            1 => WalRecord::UserRegistered {
+                id: UserId(r.u64()?),
+                nickname: r.str()?,
+                email: r.str()?,
+            },
+            2 => WalRecord::KeyIssued {
+                user: UserId(r.u64()?),
+                key: ContributorKey(r.str()?),
+                counter: r.u64()?,
+            },
+            3 => WalRecord::DbmsAdded {
+                entry: read_dbms(r)?,
+            },
+            4 => WalRecord::HostAdded {
+                entry: read_host(r)?,
+            },
+            5 => WalRecord::ProjectCreated {
+                id: ProjectId(r.u64()?),
+                owner: UserId(r.u64()?),
+                title: r.str()?,
+                synopsis: r.str()?,
+                visibility: read_visibility(r)?,
+            },
+            6 => WalRecord::Invited {
+                project: ProjectId(r.u64()?),
+                user: UserId(r.u64()?),
+            },
+            7 => WalRecord::TargetsSet {
+                project: ProjectId(r.u64()?),
+                dbms_labels: read_strs(r)?,
+                hosts: read_strs(r)?,
+            },
+            8 => WalRecord::CommentAdded {
+                project: ProjectId(r.u64()?),
+                author: UserId(r.u64()?),
+                text: r.str()?,
+            },
+            9 => WalRecord::TakenDown {
+                project: ProjectId(r.u64()?),
+            },
+            10 => WalRecord::ExperimentAdded {
+                project: ProjectId(r.u64()?),
+                id: ExperimentId(r.u64()?),
+                title: r.str()?,
+                baseline_sql: r.str()?,
+                grammar: r.str()?,
+                template_cap: r.u64()? as usize,
+                pool_cap: r.u64()? as usize,
+                dialect: r.opt_str()?,
+            },
+            11 => {
+                let project = ProjectId(r.u64()?);
+                let experiment = ExperimentId(r.u64()?);
+                let n = r.count(MIN_POOL_ENTRY_BYTES)?;
+                let entries = (0..n).map(|_| read_pool_entry(r)).collect::<D<_>>()?;
+                WalRecord::PoolExtended {
+                    project,
+                    experiment,
+                    entries,
+                }
             }
-            "comment_added" => Ok(WalRecord::CommentAdded {
-                project: ProjectId(num("project")?),
-                author: UserId(num("author")?),
-                text: text("text")?,
-            }),
-            "taken_down" => Ok(WalRecord::TakenDown {
-                project: ProjectId(num("project")?),
-            }),
-            "experiment_added" => Ok(WalRecord::ExperimentAdded {
-                project: ProjectId(num("project")?),
-                id: ExperimentId(num("id")?),
-                title: text("title")?,
-                baseline_sql: text("baseline_sql")?,
-                grammar: text("grammar")?,
-                template_cap: num("template_cap")? as usize,
-                pool_cap: num("pool_cap")? as usize,
-                dialect: v["dialect"].as_str().map(str::to_string),
-            }),
-            "pool_extended" => Ok(WalRecord::PoolExtended {
-                project: ProjectId(num("project")?),
-                experiment: ExperimentId(num("experiment")?),
-                entries: v["entries"]
-                    .as_array()
-                    .ok_or("pool_extended: missing entries")?
-                    .iter()
-                    .map(PoolEntry::from_value)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "tasks_enqueued" => Ok(WalRecord::TasksEnqueued {
-                project: ProjectId(num("project")?),
-                tasks: v["tasks"]
-                    .as_array()
-                    .ok_or("tasks_enqueued: missing tasks")?
-                    .iter()
-                    .map(Task::from_value)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "task_claimed" => Ok(WalRecord::TaskClaimed {
-                task: TaskId(num("task")?),
-                key: ContributorKey(text("key")?),
-            }),
-            "report_accepted" => Ok(WalRecord::ReportAccepted {
-                task: TaskId(num("task")?),
-                key: ContributorKey(text("key")?),
-                error: v["error"].as_str().map(str::to_string),
-                record: ResultRecord::from_value(&v["record"])?,
-            }),
-            "report_batch_accepted" => Ok(WalRecord::ReportBatchAccepted {
-                key: ContributorKey(text("key")?),
-                items: v["items"]
-                    .as_array()
-                    .ok_or("report_batch_accepted: missing items")?
-                    .iter()
-                    .map(|item| {
-                        Ok((
-                            TaskId(
-                                item["task"]
-                                    .as_i64()
-                                    .map(|x| x as u64)
-                                    .ok_or("report_batch_accepted: missing task")?,
-                            ),
-                            item["error"].as_str().map(str::to_string),
-                            ResultRecord::from_value(&item["record"])?,
-                        ))
-                    })
-                    .collect::<Result<_, String>>()?,
-            }),
-            "tasks_reaped" => Ok(WalRecord::TasksReaped {
-                project: ProjectId(num("project")?),
-                tasks: v["tasks"]
-                    .as_array()
-                    .ok_or("tasks_reaped: missing tasks")?
-                    .iter()
-                    .map(|t| {
-                        t.as_i64()
-                            .map(|x| TaskId(x as u64))
-                            .ok_or("tasks_reaped: bad task id".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-            }),
-            "task_requeued" => Ok(WalRecord::TaskRequeued {
-                task: TaskId(num("task")?),
-            }),
-            "result_hidden" => Ok(WalRecord::ResultHidden {
-                project: ProjectId(num("project")?),
-                index: num("index")? as usize,
-                hidden: v["hidden"].as_bool().ok_or("result_hidden: missing hidden")?,
-            }),
-            other => Err(format!("unknown wal op {other:?}")),
-        }
+            12 => {
+                let project = ProjectId(r.u64()?);
+                let n = r.count(MIN_TASK_BYTES)?;
+                let tasks = (0..n).map(|_| read_task(r)).collect::<D<_>>()?;
+                WalRecord::TasksEnqueued { project, tasks }
+            }
+            13 => WalRecord::TaskClaimed {
+                task: TaskId(r.u64()?),
+                key: ContributorKey(r.str()?),
+            },
+            14 => {
+                let task = TaskId(r.u64()?);
+                let key = ContributorKey(r.str()?);
+                let error = r.opt_str()?;
+                let Ok([record]) = <[ResultRecord; 1]>::try_from(read_records(r)?) else {
+                    return Err("report_accepted: expected one record".into());
+                };
+                WalRecord::ReportAccepted {
+                    task,
+                    key,
+                    error,
+                    record,
+                }
+            }
+            15 => {
+                let key = ContributorKey(r.str()?);
+                let tasks = read_u64s(r)?;
+                let errors = tasks.iter().map(|_| r.opt_str()).collect::<D<Vec<_>>>()?;
+                let records = read_records(r)?;
+                if records.len() != tasks.len() {
+                    return Err("report_batch_accepted: record count mismatch".into());
+                }
+                let items = tasks
+                    .into_iter()
+                    .zip(errors)
+                    .zip(records)
+                    .map(|((task, error), record)| (TaskId(task), error, record))
+                    .collect();
+                WalRecord::ReportBatchAccepted { key, items }
+            }
+            16 => WalRecord::TasksReaped {
+                project: ProjectId(r.u64()?),
+                tasks: read_u64s(r)?.into_iter().map(TaskId).collect(),
+            },
+            17 => WalRecord::TaskRequeued {
+                task: TaskId(r.u64()?),
+            },
+            18 => WalRecord::ResultHidden {
+                project: ProjectId(r.u64()?),
+                index: r.u64()? as usize,
+                hidden: r.bool()?,
+            },
+            b => return Err(format!("unknown wal record kind {b}")),
+        };
+        r.done()?;
+        Ok(record)
     }
 }
 
 /// The WAL file name inside a state directory.
 pub const WAL_FILE: &str = "wal.log";
 
+/// The file header: magic, then the format version byte.
+const WAL_HEADER: [u8; 8] = file_header(b"SQALWAL");
+const WAL_HEADER_LEN: u64 = WAL_HEADER.len() as u64;
+
+/// Frame header: lsn u64, body length u32, checksum u64.
+const FRAME_HEADER_LEN: usize = 20;
+
+fn corrupt(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Check the first bytes of a WAL file. A prefix of the header (a crash
+/// while the file was being created) passes; anything else is a file
+/// this build does not read.
+fn check_header(head: &[u8]) -> io::Result<()> {
+    if WAL_HEADER.starts_with(head) {
+        return Ok(());
+    }
+    if head.len() == WAL_HEADER.len() && head[..7] == WAL_HEADER[..7] {
+        return Err(corrupt(format!(
+            "{WAL_FILE} is WAL format version {}; this build reads version {FORMAT_VERSION}",
+            head[7]
+        )));
+    }
+    Err(corrupt(format!(
+        "{WAL_FILE} is not a format-{FORMAT_VERSION} WAL (a text-framed JSON log from a format-1 \
+         build?); this build reads state format version {FORMAT_VERSION} only"
+    )))
+}
+
 /// Appender over the single live WAL file.
 pub struct WalWriter {
     path: PathBuf,
     file: File,
+    /// The file's length: the header plus every frame appended. Tracked
+    /// here, so an append costs one `write` and no `fstat`.
+    len: u64,
     /// Records appended since the file was last truncated, plus the
     /// starting sequence handed in at open — a monotone record sequence
     /// used to name snapshots.
     lsn: u64,
+    /// Reused frame buffer.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -514,37 +529,71 @@ impl WalWriter {
         let path = dir.join(WAL_FILE);
         let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(&path)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter { path, file, lsn })
+        let mut head = Vec::with_capacity(WAL_HEADER.len());
+        (&mut file).take(WAL_HEADER_LEN).read_to_end(&mut head)?;
+        check_header(&head)?;
+        let mut len = file.metadata()?.len();
+        if len < WAL_HEADER_LEN {
+            file.set_len(0)?;
+            file.write_all(&WAL_HEADER)?;
+            len = WAL_HEADER_LEN;
+        }
+        Ok(WalWriter {
+            path,
+            file,
+            len,
+            lsn,
+            frame: Vec::new(),
+        })
     }
 
     pub fn lsn(&self) -> u64 {
         self.lsn
     }
 
-    /// Append one record, stamped with the next LSN, and flush it to the
-    /// OS. Returns the framed line's byte length (for the `wal.bytes`
-    /// counter). A failed append truncates back to the pre-append length
-    /// so a partial line cannot tear off later, successful records.
+    /// Append one record, stamped with the next LSN, and write it to the
+    /// OS. Returns the frame's byte length (for the `wal.bytes` counter).
+    /// A failed append truncates back to the pre-append length so a
+    /// partial frame cannot tear off later, successful records.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
-        let json = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("wal encode: {e}")))?;
         let lsn = self.lsn + 1;
-        let line = format!("{lsn} {} {:016x} {}\n", json.len(), fnv64(json.as_bytes()), json);
-        let start = self.file.metadata()?.len();
-        if let Err(e) = self
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-        {
-            let _ = self.file.set_len(start);
-            let _ = self.file.seek(SeekFrom::End(0));
+        let mut w = W {
+            buf: std::mem::take(&mut self.frame),
+        };
+        w.buf.clear();
+        w.buf.resize(FRAME_HEADER_LEN, 0);
+        record.encode(&mut w);
+        let mut frame = w.buf;
+        let body_len = u32::try_from(frame.len() - FRAME_HEADER_LEN)
+            .map_err(|_| corrupt("wal record larger than 4 GiB".into()))?;
+        frame[0..8].copy_from_slice(&lsn.to_le_bytes());
+        frame[8..12].copy_from_slice(&body_len.to_le_bytes());
+        let sum = fnv64_from(fnv64(&frame[..12]), &frame[FRAME_HEADER_LEN..]);
+        frame[12..20].copy_from_slice(&sum.to_le_bytes());
+        let written = self.file.write_all(&frame);
+        let n = frame.len() as u64;
+        self.frame = frame;
+        if let Err(e) = written {
+            let _ = self.file.set_len(self.len);
             return Err(e);
         }
+        self.len += n;
         self.lsn = lsn;
-        Ok(line.len() as u64)
+        Ok(n)
+    }
+
+    /// Cut the file back to its first `len` bytes — the intact prefix
+    /// recovery replayed — so appends do not land behind a torn frame.
+    pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
+        let len = len.max(WAL_HEADER_LEN);
+        if len < self.len {
+            self.file.set_len(len)?;
+            self.len = len;
+        }
+        Ok(())
     }
 
     /// Fsync then truncate: called under all platform locks right after
@@ -552,15 +601,14 @@ impl WalWriter {
     /// the empty tail of that snapshot.
     pub fn reset_after_snapshot(&mut self) -> io::Result<()> {
         self.file.sync_all()?;
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
+        self.file.set_len(WAL_HEADER_LEN)?;
         self.file.sync_all()?;
+        self.len = WAL_HEADER_LEN;
         Ok(())
     }
 
     /// Fsync without truncating (graceful shutdown).
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.flush()?;
         self.file.sync_all()
     }
 
@@ -569,42 +617,77 @@ impl WalWriter {
     }
 }
 
-/// Read every intact record from a WAL file, stopping silently at a torn
-/// tail. Returns the `(lsn, record)` pairs and the count of torn
-/// (ignored) lines.
-pub fn read_wal(path: &Path) -> io::Result<(Vec<(u64, WalRecord)>, usize)> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e),
-    };
-    let mut records = Vec::new();
-    let mut torn = 0;
-    for line in BufReader::new(file).split(b'\n') {
-        let line = line?;
-        let Some(parsed) = parse_line(&line) else {
-            // Torn or corrupt: everything from here on is past the
-            // acknowledged prefix.
-            torn += 1;
-            break;
-        };
-        records.push(parsed);
-    }
-    Ok((records, torn))
+/// One intact WAL record.
+#[derive(Debug)]
+pub struct WalEntry {
+    pub lsn: u64,
+    /// The frame's size in bytes, header included.
+    pub bytes: usize,
+    pub record: WalRecord,
 }
 
-fn parse_line(line: &[u8]) -> Option<(u64, WalRecord)> {
-    let text = std::str::from_utf8(line).ok()?;
-    let (lsn, rest) = text.split_once(' ')?;
-    let (len, rest) = rest.split_once(' ')?;
-    let (sum, json) = rest.split_once(' ')?;
-    let lsn: u64 = lsn.parse().ok()?;
-    let len: usize = len.parse().ok()?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if json.len() != len || fnv64(json.as_bytes()) != sum {
+/// What a WAL file holds.
+#[derive(Debug, Default)]
+pub struct WalScan {
+    /// Every intact record, in log order.
+    pub records: Vec<WalEntry>,
+    /// Torn or corrupt frames at the tail (0 or 1: replay stops at the
+    /// first).
+    pub torn: usize,
+    /// Bytes of the header plus the intact frames: where appends resume.
+    pub intact_len: u64,
+}
+
+/// Read every intact record from a WAL file, stopping silently at a torn
+/// tail. A missing file reads as empty; a file in another format is an
+/// `InvalidData` error.
+pub fn read_wal(path: &Path) -> io::Result<WalScan> {
+    match std::fs::read(path) {
+        Ok(bytes) => parse_wal(&bytes),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalScan::default()),
+        Err(e) => Err(e),
+    }
+}
+
+/// Parse a whole WAL file image (see [`read_wal`]).
+pub fn parse_wal(bytes: &[u8]) -> io::Result<WalScan> {
+    let header_len = bytes.len().min(WAL_HEADER.len());
+    check_header(&bytes[..header_len])?;
+    let mut scan = WalScan::default();
+    if bytes.len() < WAL_HEADER.len() {
+        return Ok(scan);
+    }
+    let mut pos = WAL_HEADER.len();
+    while pos < bytes.len() {
+        let Some(entry) = parse_frame(&bytes[pos..]) else {
+            // Torn or corrupt: everything from here on is past the
+            // acknowledged prefix.
+            scan.torn = 1;
+            break;
+        };
+        pos += entry.bytes;
+        scan.records.push(entry);
+    }
+    scan.intact_len = pos as u64;
+    Ok(scan)
+}
+
+/// One frame off the front of `b`, or `None` when it is torn or corrupt.
+fn parse_frame(b: &[u8]) -> Option<WalEntry> {
+    let header = b.get(..FRAME_HEADER_LEN)?;
+    let lsn = u64::from_le_bytes(header[0..8].try_into().ok()?);
+    let len = u32::from_le_bytes(header[8..12].try_into().ok()?) as usize;
+    let sum = u64::from_le_bytes(header[12..20].try_into().ok()?);
+    let body = b.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN.checked_add(len)?)?;
+    if fnv64_from(fnv64(&header[..12]), body) != sum {
         return None;
     }
-    serde_json::from_str(json).ok().map(|r| (lsn, r))
+    let record = WalRecord::decode(&mut R::new(body)).ok()?;
+    Some(WalEntry {
+        lsn,
+        bytes: FRAME_HEADER_LEN + len,
+        record,
+    })
 }
 
 #[cfg(test)]
@@ -614,10 +697,7 @@ mod tests {
     use crate::{pool::QueryId, queue::TaskState};
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sqalpel-wal-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("sqalpel-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -724,21 +804,18 @@ mod tests {
         assert_eq!(wal.lsn(), sample_records().len() as u64);
         assert!(bytes > 0);
 
-        let (back, torn) = read_wal(&dir.join(WAL_FILE)).unwrap();
-        assert_eq!(torn, 0);
+        let scan = read_wal(&dir.join(WAL_FILE)).unwrap();
+        assert_eq!(scan.torn, 0);
+        let back = scan.records;
         assert_eq!(back.len(), sample_records().len());
         // LSNs stamp the records 1..=n in append order.
-        let lsns: Vec<u64> = back.iter().map(|(lsn, _)| *lsn).collect();
+        let lsns: Vec<u64> = back.iter().map(|e| e.lsn).collect();
         assert_eq!(lsns, (1..=back.len() as u64).collect::<Vec<_>>());
-        // Spot-check a couple of payloads survived verbatim.
-        let WalRecord::ReportAccepted { record, .. } = &back[6].1 else {
-            panic!("wrong op at 6: {:?}", back[6].1.op());
-        };
-        assert_eq!(record.times_ms, vec![1.0, 2.0]);
-        let WalRecord::TasksEnqueued { tasks, .. } = &back[4].1 else {
-            panic!()
-        };
-        assert_eq!(tasks[0].id, TaskId(1 << 32));
+        assert_eq!(back.iter().map(|e| e.bytes as u64).sum::<u64>(), bytes);
+        // Every record survives verbatim.
+        for (e, r) in back.iter().zip(sample_records()) {
+            assert_eq!(format!("{:?}", e.record), format!("{r:?}"), "{}", r.kind());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -750,24 +827,34 @@ mod tests {
             wal.append(&r).unwrap();
         }
         drop(wal);
-        // Simulate a crash mid-write: chop the last line in half.
+        // Simulate a crash mid-write: chop the last frame at every byte.
         let path = dir.join(WAL_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let cut = text.len() - 10;
-        std::fs::write(&path, &text[..cut]).unwrap();
-
-        let (back, torn) = read_wal(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(torn, 1);
+        let bytes = std::fs::read(&path).unwrap();
+        let intact = parse_wal(&bytes).unwrap();
+        let last = intact.records.last().unwrap().bytes;
+        for cut in bytes.len() - last + 1..bytes.len() {
+            let scan = parse_wal(&bytes[..cut]).unwrap();
+            assert_eq!((scan.records.len(), scan.torn), (2, 1), "cut at {cut}");
+            assert_eq!(scan.intact_len as usize, bytes.len() - last);
+        }
 
         // A flipped byte (bad checksum) also ends replay there.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] = bytes[mid].wrapping_add(1);
-        std::fs::write(&path, &bytes).unwrap();
-        let (back, torn) = read_wal(&path).unwrap();
-        assert!(back.len() <= 2);
-        assert_eq!(torn, 1);
+        let mut flipped = bytes.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] = flipped[mid].wrapping_add(1);
+        let scan = parse_wal(&flipped).unwrap();
+        assert!(scan.records.len() <= 2);
+        assert_eq!(scan.torn, 1);
+
+        // Reopening cuts the torn frame off, so later appends replay.
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        let mut wal = WalWriter::open(&dir, 2).unwrap();
+        wal.truncate_to(read_wal(&path).unwrap().intact_len)
+            .unwrap();
+        wal.append(&sample_records()[0]).unwrap();
+        let scan = read_wal(&path).unwrap();
+        assert_eq!((scan.records.len(), scan.torn), (3, 0));
+        assert_eq!(scan.records[2].lsn, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -780,20 +867,37 @@ mod tests {
         }
         wal.reset_after_snapshot().unwrap();
         assert_eq!(wal.lsn(), 2, "lsn keeps counting across truncation");
-        let (back, _) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let back = read_wal(&dir.join(WAL_FILE)).unwrap().records;
         assert!(back.is_empty());
         // Appends continue on the truncated file, LSNs past the snapshot.
         wal.append(&sample_records()[0]).unwrap();
-        let (back, _) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let back = read_wal(&dir.join(WAL_FILE)).unwrap().records;
         assert_eq!(back.len(), 1);
-        assert_eq!(back[0].0, 3, "post-truncation records carry lsns past the snapshot");
+        assert_eq!(
+            back[0].lsn, 3,
+            "post-truncation records carry lsns past the snapshot"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_wal_reads_empty() {
-        let (records, torn) = read_wal(Path::new("/nonexistent/wal.log")).unwrap();
-        assert!(records.is_empty());
-        assert_eq!(torn, 0);
+        let scan = read_wal(Path::new("/nonexistent/wal.log")).unwrap();
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.torn, 0);
+    }
+
+    #[test]
+    fn other_formats_are_refused_not_skipped() {
+        // A format-1 text-framed JSON log.
+        let text = b"1 2 00000000000000aa {}\n";
+        let err = parse_wal(text).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("format version 2"), "{err}");
+        // The right magic with another version byte names that version.
+        let err = parse_wal(b"SQALWAL\x07").unwrap_err();
+        assert!(err.to_string().contains("version 7"), "{err}");
+        // A crash while creating the file leaves a header prefix: empty.
+        assert!(parse_wal(b"SQAL").unwrap().records.is_empty());
     }
 }

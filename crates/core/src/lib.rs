@@ -29,6 +29,7 @@ pub mod admission;
 pub mod analytics;
 pub mod bootstrap;
 pub mod catalog;
+pub mod codec;
 pub mod driver;
 pub mod durability;
 pub mod error;

@@ -20,7 +20,6 @@
 use crate::error::{PlatformError, PlatformResult};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize, Value};
 use sqalpel_grammar::{instantiate, Choice, Grammar, Template};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -93,115 +92,6 @@ pub struct PoolEntry {
     /// Canonical logical-plan fingerprint, when the pool has a
     /// [`Fingerprinter`] and the query plans on the target system.
     pub fingerprint: Option<u64>,
-}
-
-impl Serialize for Origin {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        match self {
-            Origin::Baseline => {
-                m.insert("kind".into(), "baseline".into());
-            }
-            Origin::Random => {
-                m.insert("kind".into(), "random".into());
-            }
-            Origin::Morph { strategy, parent } => {
-                m.insert("kind".into(), "morph".into());
-                m.insert("strategy".into(), strategy.name().into());
-                m.insert("parent".into(), parent.0.into());
-            }
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for Origin {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        match v["kind"].as_str().ok_or("origin: missing kind")? {
-            "baseline" => Ok(Origin::Baseline),
-            "random" => Ok(Origin::Random),
-            "morph" => Ok(Origin::Morph {
-                strategy: Strategy::from_name(
-                    v["strategy"].as_str().ok_or("origin: missing strategy")?,
-                )?,
-                parent: QueryId(
-                    v["parent"].as_i64().ok_or("origin: missing parent")? as u64
-                ),
-            }),
-            other => Err(format!("unknown origin {other:?}")),
-        }
-    }
-}
-
-impl Serialize for PoolEntry {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("id".into(), self.id.0.into());
-        m.insert("sql".into(), self.sql.clone().into());
-        m.insert("template".into(), self.template.into());
-        let choice: serde_json::Map = self
-            .choice
-            .iter()
-            .map(|(class, idxs)| {
-                let idxs: Vec<Value> = idxs.iter().map(|&i| Value::from(i)).collect();
-                (class.clone(), Value::Array(idxs))
-            })
-            .collect();
-        m.insert("choice".into(), Value::Object(choice));
-        m.insert("origin".into(), self.origin.to_value());
-        m.insert("step".into(), self.step.into());
-        // Hex text keeps the full u64 out of i64 number territory, same
-        // trick as the results CSV.
-        if let Some(fp) = self.fingerprint {
-            m.insert("fingerprint".into(), format!("{fp:016x}").into());
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for PoolEntry {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num =
-            |k: &str| v[k].as_i64().map(|x| x as u64).ok_or(format!("pool entry: missing {k}"));
-        let mut choice = Choice::new();
-        match &v["choice"] {
-            Value::Object(m) => {
-                for (class, idxs) in m.iter() {
-                    let idxs = idxs
-                        .as_array()
-                        .ok_or("pool entry: choice class not an array")?
-                        .iter()
-                        .map(|i| {
-                            i.as_i64()
-                                .map(|x| x as usize)
-                                .ok_or("pool entry: bad literal index".to_string())
-                        })
-                        .collect::<Result<Vec<usize>, String>>()?;
-                    choice.insert(class.clone(), idxs);
-                }
-            }
-            _ => return Err("pool entry: missing choice".into()),
-        }
-        let fingerprint = match v["fingerprint"].as_str() {
-            None => None,
-            Some(hex) => Some(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|e| format!("pool entry: bad fingerprint: {e}"))?,
-            ),
-        };
-        Ok(PoolEntry {
-            id: QueryId(num("id")?),
-            sql: v["sql"]
-                .as_str()
-                .ok_or("pool entry: missing sql")?
-                .to_string(),
-            template: num("template")? as usize,
-            choice,
-            origin: Origin::from_value(&v["origin"])?,
-            step: num("step")? as usize,
-            fingerprint,
-        })
-    }
 }
 
 impl PoolEntry {
@@ -886,8 +776,9 @@ mod tests {
         let g = Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
         let mut back = QueryPool::new(g, p.template_cap(), p.pool_cap()).unwrap();
         for e in p.entries() {
-            let text = serde_json::to_string(e).unwrap();
-            let e2: PoolEntry = serde_json::from_str(&text).unwrap();
+            let mut w = crate::codec::W::default();
+            crate::codec::write_pool_entry(&mut w, e);
+            let e2 = crate::codec::read_pool_entry(&mut crate::codec::R::new(&w.buf)).unwrap();
             assert_eq!(e2.id, e.id);
             assert_eq!(e2.sql, e.sql);
             assert_eq!(e2.choice, e.choice);

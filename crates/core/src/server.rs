@@ -832,13 +832,18 @@ impl SqalpelServer {
             // mutation: if the append fails, the task stays Running and
             // the admission slot stays held, so the contributor's retry
             // can complete it once the log is writable again — in-memory,
-            // on-disk and admission state never diverge.
-            self.log(&WalRecord::ReportAccepted {
+            // on-disk and admission state never diverge. Built by move and
+            // destructured back, so the record is not copied to be logged.
+            let logged = WalRecord::ReportAccepted {
                 task: task_id,
                 key: key.clone(),
-                error: error.clone(),
-                record: rec.clone(),
-            })?;
+                error,
+                record: rec,
+            };
+            self.log(&logged)?;
+            let WalRecord::ReportAccepted { error, record: rec, .. } = logged else {
+                unreachable!("built just above")
+            };
             s.queue
                 .complete(task_id, key, error)
                 .expect("validated above under this lock: task is held by this key");

@@ -29,13 +29,12 @@
 //!
 //! # Scalar encodings
 //!
-//! Little-endian fixed-width integers and floats; strings are a u32
-//! length followed by UTF-8 bytes; options are a presence byte. Hot DTOs
-//! (tasks, run outcomes, result records, queue summaries) are fully
-//! binary; cold management DTOs (DBMS/host catalog entries, metrics
-//! snapshots, the open-ended `extras` object) travel as JSON text inside
-//! the frame — they are off the contributor hot path and the JSON serde
-//! is already the documented format.
+//! The primitives and the record codecs (tasks, run outcomes, result
+//! records, catalog entries) are the shared [`crate::codec`] — the WAL
+//! and snapshots write the same bytes. Little-endian fixed-width
+//! integers and floats; strings are a u32 length followed by UTF-8
+//! bytes; options are a presence byte. Metrics snapshots and the
+//! open-ended `extras` object travel as JSON text inside the frame.
 //!
 //! # Columnar results
 //!
@@ -65,16 +64,18 @@
 //! `ExperimentFinished` when an experiment's last task goes terminal.
 
 use super::{CacheStatus, ErrorCode, ExecOutcome, Reply, Request, WireResultSet, WireValue};
-use crate::push::Notification;
-use crate::catalog::Visibility;
-use crate::driver::{OperatorProfile, RunOutcome};
+use crate::codec::{
+    bit, read_dbms, read_host, read_outcome, read_records, read_report_pairs, read_strs,
+    read_task, read_u64s, read_visibility, write_dbms, write_host, write_outcome, write_records,
+    write_report_pairs, write_strs, write_task, write_u64s, write_visibility, D, R, W,
+};
+use crate::driver::RunOutcome;
 use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId, Role};
-use crate::queue::{QueueSummary, Task, TaskId, TaskState};
-use crate::results::{LoadAvg, ResultRecord};
+use crate::push::Notification;
+use crate::queue::{QueueSummary, TaskId};
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize};
 
 /// The version this codec speaks, exchanged in the Hello handshake.
 pub const PROTO_VERSION: u8 = 2;
@@ -159,169 +160,6 @@ const CT_DATE: u8 = 6;
 const CT_INTERVAL: u8 = 7;
 const CT_MIXED: u8 = 0xFF;
 
-// ------------------------------------------------------------- writer
-
-/// A growable little-endian byte writer. Infallible.
-#[derive(Default)]
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i128(&mut self, v: i128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-            None => self.u8(0),
-        }
-    }
-    /// A presence bitmap: bit `i` set when `set(i)` is true.
-    fn bitmap(&mut self, n: usize, set: impl Fn(usize) -> bool) {
-        let mut byte = 0u8;
-        for i in 0..n {
-            if set(i) {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                self.buf.push(byte);
-                byte = 0;
-            }
-        }
-        if !n.is_multiple_of(8) {
-            self.buf.push(byte);
-        }
-    }
-    /// JSON-text payload for cold DTOs.
-    fn json<T: Serialize>(&mut self, v: &T) {
-        self.str(&serde_json::to_string(v).expect("value serializes"));
-    }
-}
-
-// ------------------------------------------------------------- reader
-
-/// A checked little-endian byte reader over one frame body.
-struct R<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-type D<T> = Result<T, String>;
-
-impl<'a> R<'a> {
-    fn new(b: &'a [u8]) -> R<'a> {
-        R { b, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> D<&'a [u8]> {
-        if self.b.len() - self.pos < n {
-            return Err(format!(
-                "truncated frame: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.b.len() - self.pos
-            ));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> D<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> D<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
-        }
-    }
-    fn u32(&mut self) -> D<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> D<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i32(&mut self) -> D<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> D<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> D<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i128(&mut self) -> D<i128> {
-        Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> D<String> {
-        let n = self.u32()? as usize;
-        // The frame length already bounds n; take() re-checks.
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("non-UTF-8 string: {e}"))
-    }
-    fn opt_str(&mut self) -> D<Option<String>> {
-        Ok(if self.bool()? { Some(self.str()?) } else { None })
-    }
-    fn opt_u64(&mut self) -> D<Option<u64>> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-    fn bitmap(&mut self, n: usize) -> D<Vec<bool>> {
-        let bytes = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
-    }
-    fn json<T: Deserialize>(&mut self, what: &str) -> D<T> {
-        let text = self.str()?;
-        serde_json::from_str(&text).map_err(|e| format!("bad {what} JSON: {e}"))
-    }
-    fn done(&self) -> D<()> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after frame payload",
-                self.b.len() - self.pos
-            ))
-        }
-    }
-}
-
 // ---------------------------------------------------------- frame split
 
 /// Try to split one complete frame off the front of `buf`. Returns
@@ -375,11 +213,11 @@ pub fn encode_request_frame(tag: u32, req: &Request) -> Vec<u8> {
         }
         Request::AddDbms { entry } => {
             w.u8(OP_ADD_DBMS);
-            w.json(entry);
+            write_dbms(&mut w, entry);
         }
         Request::AddHost { entry } => {
             w.u8(OP_ADD_HOST);
-            w.json(entry);
+            write_host(&mut w, entry);
         }
         Request::DbmsLabels => w.u8(OP_DBMS_LABELS),
         Request::CreateProject {
@@ -392,10 +230,7 @@ pub fn encode_request_frame(tag: u32, req: &Request) -> Vec<u8> {
             w.u64(owner.0);
             w.str(title);
             w.str(synopsis);
-            w.u8(match visibility {
-                Visibility::Public => 0,
-                Visibility::Private => 1,
-            });
+            write_visibility(&mut w, *visibility);
         }
         Request::Invite { project, owner, user } => {
             w.u8(OP_INVITE);
@@ -631,21 +466,17 @@ pub fn decode_request(body: &[u8]) -> Result<DecodedRequest, String> {
             user: UserId(r.u64()?),
         },
         OP_ADD_DBMS => Request::AddDbms {
-            entry: r.json("dbms entry")?,
+            entry: read_dbms(&mut r)?,
         },
         OP_ADD_HOST => Request::AddHost {
-            entry: r.json("host entry")?,
+            entry: read_host(&mut r)?,
         },
         OP_DBMS_LABELS => Request::DbmsLabels,
         OP_CREATE_PROJECT => Request::CreateProject {
             owner: UserId(r.u64()?),
             title: r.str()?,
             synopsis: r.str()?,
-            visibility: match r.u8()? {
-                0 => Visibility::Public,
-                1 => Visibility::Private,
-                b => return Err(format!("bad visibility byte {b}")),
-            },
+            visibility: read_visibility(&mut r)?,
         },
         OP_INVITE => Request::Invite {
             project: ProjectId(r.u64()?),
@@ -811,10 +642,7 @@ pub fn encode_reply_frame(tag: u32, outcome: &PlatformResult<Reply>) -> Vec<u8> 
                 }
                 Reply::Added(ids) => {
                     w.u8(RK_ADDED);
-                    w.u32(ids.len() as u32);
-                    for id in ids {
-                        w.u64(id.0);
-                    }
+                    write_u64s(&mut w, ids.iter().map(|id| id.0));
                 }
                 Reply::Enqueued(n) => {
                     w.u8(RK_ENQUEUED);
@@ -844,10 +672,7 @@ pub fn encode_reply_frame(tag: u32, outcome: &PlatformResult<Reply>) -> Vec<u8> 
                 }
                 Reply::Batch(indices) => {
                     w.u8(RK_BATCH);
-                    w.u32(indices.len() as u32);
-                    for idx in indices {
-                        w.u64(*idx);
-                    }
+                    write_u64s(&mut w, indices.iter().copied());
                 }
                 Reply::Queue(q) => {
                     w.u8(RK_QUEUE);
@@ -859,10 +684,7 @@ pub fn encode_reply_frame(tag: u32, outcome: &PlatformResult<Reply>) -> Vec<u8> 
                 }
                 Reply::Reaped(ids) => {
                     w.u8(RK_REAPED);
-                    w.u32(ids.len() as u32);
-                    for id in ids {
-                        w.u64(id.0);
-                    }
+                    write_u64s(&mut w, ids.iter().map(|id| id.0));
                 }
                 Reply::Metrics(snap) => {
                     w.u8(RK_METRICS);
@@ -943,14 +765,7 @@ pub fn decode_reply(body: &[u8]) -> Result<DecodedReply, String> {
         }),
         RK_EXPERIMENT => Reply::Experiment(ExperimentId(r.u64()?)),
         RK_SEEDED => Reply::Seeded(r.u64()?),
-        RK_ADDED => {
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ids.push(QueryId(r.u64()?));
-            }
-            Reply::Added(ids)
-        }
+        RK_ADDED => Reply::Added(read_u64s(&mut r)?.into_iter().map(QueryId).collect()),
         RK_ENQUEUED => Reply::Enqueued(r.u64()?),
         RK_RESULTS => Reply::Results(read_records(&mut r)?),
         RK_CSV => Reply::Csv(r.str()?),
@@ -960,14 +775,7 @@ pub fn decode_reply(body: &[u8]) -> Result<DecodedReply, String> {
             None
         }),
         RK_INDEX => Reply::Index(r.u64()?),
-        RK_BATCH => {
-            let n = r.u32()? as usize;
-            let mut indices = Vec::with_capacity(n.min(1 << 22));
-            for _ in 0..n {
-                indices.push(r.u64()?);
-            }
-            Reply::Batch(indices)
-        }
+        RK_BATCH => Reply::Batch(read_u64s(&mut r)?),
         RK_NOTIFICATION => {
             let n = match r.u8()? {
                 NK_QUEUE_READY => Notification::QueueReady {
@@ -989,14 +797,7 @@ pub fn decode_reply(body: &[u8]) -> Result<DecodedReply, String> {
             failed: r.u64()? as usize,
             timed_out: r.u64()? as usize,
         }),
-        RK_REAPED => {
-            let n = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ids.push(TaskId(r.u64()?));
-            }
-            Reply::Reaped(ids)
-        }
+        RK_REAPED => Reply::Reaped(read_u64s(&mut r)?.into_iter().map(TaskId).collect()),
         RK_METRICS => Reply::Metrics(r.json("metrics snapshot")?),
         RK_EXECUTION => {
             let result = read_result_set(&mut r)?;
@@ -1047,351 +848,6 @@ fn read_error_detail(r: &mut R<'_>, code: ErrorCode) -> D<PlatformError> {
         b => return Err(format!("bad error detail kind {b}")),
     };
     PlatformError::from_code(code.as_str(), &detail)
-}
-
-// --------------------------------------------------------- DTO helpers
-
-fn write_strs(w: &mut W, items: &[String]) {
-    w.u32(items.len() as u32);
-    for s in items {
-        w.str(s);
-    }
-}
-
-fn read_strs(r: &mut R<'_>) -> D<Vec<String>> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(r.str()?);
-    }
-    Ok(out)
-}
-
-fn write_task(w: &mut W, t: &Task) {
-    w.u64(t.id.0);
-    w.u64(t.project.0);
-    w.u64(t.experiment.0);
-    w.u64(t.query.0);
-    w.str(&t.sql);
-    w.str(&t.dbms_label);
-    w.str(&t.host);
-    match &t.state {
-        TaskState::Queued => w.u8(0),
-        TaskState::Running { contributor } => {
-            w.u8(1);
-            w.str(&contributor.0);
-        }
-        TaskState::Done => w.u8(2),
-        TaskState::Failed(e) => {
-            w.u8(3);
-            w.str(e);
-        }
-        TaskState::TimedOut => w.u8(4),
-    }
-}
-
-fn read_task(r: &mut R<'_>) -> D<Task> {
-    Ok(Task {
-        id: TaskId(r.u64()?),
-        project: ProjectId(r.u64()?),
-        experiment: ExperimentId(r.u64()?),
-        query: QueryId(r.u64()?),
-        sql: r.str()?,
-        dbms_label: r.str()?,
-        host: r.str()?,
-        state: match r.u8()? {
-            0 => TaskState::Queued,
-            1 => TaskState::Running {
-                contributor: ContributorKey(r.str()?),
-            },
-            2 => TaskState::Done,
-            3 => TaskState::Failed(r.str()?),
-            4 => TaskState::TimedOut,
-            b => return Err(format!("bad task state byte {b}")),
-        },
-        // Hand-out time is server-side only, same as the JSON codec.
-        started: None,
-    })
-}
-
-fn write_profile(w: &mut W, ops: &[OperatorProfile]) {
-    w.u32(ops.len() as u32);
-    for op in ops {
-        w.str(&op.op);
-        w.u64(op.rows_in);
-        w.u64(op.rows_out);
-        w.u64(op.batches);
-        w.u64(op.nanos);
-        w.u64(op.chunks_scanned);
-        w.u64(op.chunks_skipped);
-    }
-}
-
-fn read_profile(r: &mut R<'_>) -> D<Vec<OperatorProfile>> {
-    let n = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        ops.push(OperatorProfile {
-            op: r.str()?,
-            rows_in: r.u64()?,
-            rows_out: r.u64()?,
-            batches: r.u64()?,
-            nanos: r.u64()?,
-            chunks_scanned: r.u64()?,
-            chunks_skipped: r.u64()?,
-        });
-    }
-    Ok(ops)
-}
-
-fn write_outcome(w: &mut W, o: &RunOutcome) {
-    w.u32(o.times_ms.len() as u32);
-    for t in &o.times_ms {
-        w.f64(*t);
-    }
-    w.u64(o.rows as u64);
-    w.opt_str(o.error.as_deref());
-    for l in [&o.load_before, &o.load_after] {
-        w.f64(l.one);
-        w.f64(l.five);
-        w.f64(l.fifteen);
-    }
-    w.json(&o.extras);
-    w.opt_u64(o.fingerprint);
-    match &o.profile {
-        Some(ops) => {
-            w.u8(1);
-            write_profile(w, ops);
-        }
-        None => w.u8(0),
-    }
-}
-
-fn read_outcome(r: &mut R<'_>) -> D<RunOutcome> {
-    let n = r.u32()? as usize;
-    let mut times_ms = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        times_ms.push(r.f64()?);
-    }
-    let rows = r.u64()? as usize;
-    let error = r.opt_str()?;
-    let mut loads = [LoadAvg::default(); 2];
-    for l in &mut loads {
-        l.one = r.f64()?;
-        l.five = r.f64()?;
-        l.fifteen = r.f64()?;
-    }
-    Ok(RunOutcome {
-        times_ms,
-        rows,
-        error,
-        load_before: loads[0],
-        load_after: loads[1],
-        extras: r.json("extras")?,
-        fingerprint: r.opt_u64()?,
-        profile: if r.bool()? {
-            Some(read_profile(r)?)
-        } else {
-            None
-        },
-    })
-}
-
-// -------------------------------------------------- bulk report pairs
-
-/// Columnar `(task, outcome)` pairs: `[count][task ids][outcomes]` — the
-/// fixed-width task-id vector packs densely up front, the variable-width
-/// outcomes follow.
-fn write_report_pairs(w: &mut W, pairs: &[(TaskId, RunOutcome)]) {
-    w.u32(pairs.len() as u32);
-    for (task, _) in pairs {
-        w.u64(task.0);
-    }
-    for (_, outcome) in pairs {
-        write_outcome(w, outcome);
-    }
-}
-
-fn read_report_pairs(r: &mut R<'_>) -> D<Vec<(TaskId, RunOutcome)>> {
-    let n = r.u32()? as usize;
-    if n > (1 << 22) {
-        return Err(format!("report pair count {n} too large"));
-    }
-    let mut tasks = Vec::with_capacity(n);
-    for _ in 0..n {
-        tasks.push(TaskId(r.u64()?));
-    }
-    let mut pairs = Vec::with_capacity(n);
-    for task in tasks {
-        pairs.push((task, read_outcome(r)?));
-    }
-    Ok(pairs)
-}
-
-// ------------------------------------------------ columnar: records
-
-/// Result records as per-field columns: all the `task` ids, then all the
-/// `project` ids, … so the repetitive numeric fields pack densely and
-/// the per-record framing overhead of JSON objects disappears.
-fn write_records(w: &mut W, records: &[ResultRecord]) {
-    let n = records.len();
-    w.u32(n as u32);
-    for rec in records {
-        w.u64(rec.task);
-    }
-    for rec in records {
-        w.u64(rec.project);
-    }
-    for rec in records {
-        w.u64(rec.experiment);
-    }
-    for rec in records {
-        w.u64(rec.query);
-    }
-    for rec in records {
-        w.str(&rec.dbms_label);
-    }
-    for rec in records {
-        w.str(&rec.host);
-    }
-    for rec in records {
-        w.str(&rec.contributor);
-    }
-    // times_ms: per-record counts, then one flat f64 vector.
-    for rec in records {
-        w.u32(rec.times_ms.len() as u32);
-    }
-    for rec in records {
-        for t in &rec.times_ms {
-            w.f64(*t);
-        }
-    }
-    for rec in records {
-        w.u64(rec.rows as u64);
-    }
-    w.bitmap(n, |i| records[i].error.is_some());
-    for rec in records {
-        if let Some(e) = &rec.error {
-            w.str(e);
-        }
-    }
-    for rec in records {
-        w.f64(rec.load_before.one);
-        w.f64(rec.load_before.five);
-        w.f64(rec.load_before.fifteen);
-        w.f64(rec.load_after.one);
-        w.f64(rec.load_after.five);
-        w.f64(rec.load_after.fifteen);
-    }
-    for rec in records {
-        w.json(&rec.extras);
-    }
-    w.bitmap(n, |i| records[i].hidden);
-    w.bitmap(n, |i| records[i].fingerprint.is_some());
-    for rec in records {
-        if let Some(fp) = rec.fingerprint {
-            w.u64(fp);
-        }
-    }
-    w.bitmap(n, |i| records[i].profile.is_some());
-    for rec in records {
-        if let Some(ops) = &rec.profile {
-            write_profile(w, ops);
-        }
-    }
-}
-
-fn read_records(r: &mut R<'_>) -> D<Vec<ResultRecord>> {
-    let n = r.u32()? as usize;
-    // Frame sizes bound n transitively; still refuse absurd counts so a
-    // corrupt frame cannot trigger a huge allocation before take() fails.
-    if n > (1 << 22) {
-        return Err(format!("record count {n} too large"));
-    }
-    let col_u64 = |r: &mut R<'_>| -> D<Vec<u64>> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(r.u64()?);
-        }
-        Ok(v)
-    };
-    let col_str = |r: &mut R<'_>| -> D<Vec<String>> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(r.str()?);
-        }
-        Ok(v)
-    };
-    let task = col_u64(r)?;
-    let project = col_u64(r)?;
-    let experiment = col_u64(r)?;
-    let query = col_u64(r)?;
-    let dbms_label = col_str(r)?;
-    let host = col_str(r)?;
-    let contributor = col_str(r)?;
-    let mut times_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        times_len.push(r.u32()? as usize);
-    }
-    let mut times = Vec::with_capacity(n);
-    for len in &times_len {
-        let mut ts = Vec::with_capacity(*len);
-        for _ in 0..*len {
-            ts.push(r.f64()?);
-        }
-        times.push(ts);
-    }
-    let rows = col_u64(r)?;
-    let has_error = r.bitmap(n)?;
-    let mut errors = Vec::with_capacity(n);
-    for has in &has_error {
-        errors.push(if *has { Some(r.str()?) } else { None });
-    }
-    let mut loads = Vec::with_capacity(n);
-    for _ in 0..n {
-        loads.push((
-            LoadAvg { one: r.f64()?, five: r.f64()?, fifteen: r.f64()? },
-            LoadAvg { one: r.f64()?, five: r.f64()?, fifteen: r.f64()? },
-        ));
-    }
-    let mut extras: Vec<serde_json::Value> = Vec::with_capacity(n);
-    for _ in 0..n {
-        extras.push(r.json("extras")?);
-    }
-    let hidden = r.bitmap(n)?;
-    let has_fp = r.bitmap(n)?;
-    let mut fingerprints = Vec::with_capacity(n);
-    for has in &has_fp {
-        fingerprints.push(if *has { Some(r.u64()?) } else { None });
-    }
-    let has_profile = r.bitmap(n)?;
-    let mut profiles = Vec::with_capacity(n);
-    for has in &has_profile {
-        profiles.push(if *has { Some(read_profile(r)?) } else { None });
-    }
-
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        records.push(ResultRecord {
-            task: task[i],
-            project: project[i],
-            experiment: experiment[i],
-            query: query[i],
-            dbms_label: dbms_label[i].clone(),
-            host: host[i].clone(),
-            contributor: contributor[i].clone(),
-            times_ms: times[i].clone(),
-            rows: rows[i] as usize,
-            error: errors[i].clone(),
-            load_before: loads[i].0,
-            load_after: loads[i].1,
-            extras: extras[i].clone(),
-            hidden: hidden[i],
-            fingerprint: fingerprints[i],
-            profile: profiles[i].clone(),
-        });
-    }
-    Ok(records)
 }
 
 // ---------------------------------------------- columnar: result sets
@@ -1485,8 +941,8 @@ fn read_column(r: &mut R<'_>, rows: usize) -> D<Vec<WireValue>> {
     let tag = r.u8()?;
     let present = r.bitmap(rows)?;
     let mut col = Vec::with_capacity(rows);
-    for p in present {
-        if !p {
+    for i in 0..rows {
+        if !bit(present, i) {
             col.push(WireValue::Null);
             continue;
         }
@@ -1508,25 +964,25 @@ fn write_result_set(w: &mut W, rs: &WireResultSet) {
 }
 
 fn read_result_set(r: &mut R<'_>) -> D<WireResultSet> {
-    let ncols = r.u32()? as usize;
+    // A column costs at least its name length, a tag byte and an
+    // nrows-bit presence bitmap.
+    let ncols = r.count(5)?;
     let nrows = r.u32()? as usize;
-    if ncols > (1 << 16) || nrows > (1 << 28) {
-        return Err(format!("result set of {ncols}x{nrows} too large"));
+    if ncols.saturating_mul(nrows.div_ceil(8)) > r.remaining() {
+        return Err(format!("result set of {ncols}x{nrows} exceeds the frame"));
     }
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(r.str()?);
-    }
-    let mut data = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        data.push(read_column(r, nrows)?);
-    }
+    let columns = (0..ncols).map(|_| r.str()).collect::<D<_>>()?;
+    let data = (0..ncols).map(|_| read_column(r, nrows)).collect::<D<_>>()?;
     Ok(WireResultSet { columns, data })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Visibility;
+    use crate::driver::OperatorProfile;
+    use crate::queue::{Task, TaskState};
+    use crate::results::{LoadAvg, ResultRecord};
     use serde::Value;
 
     fn round_trip_request(req: Request) -> Request {
