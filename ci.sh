@@ -116,6 +116,15 @@ cargo test -q --release -p sqalpel-core --test bulk_differential
 # closed subscriptions, and push-subscribed worker pools drain late work
 # with queue.empty_polls pinned at zero.
 cargo test -q --release -p sqalpel-core --test push_props
+# The v2 readiness wall: shards block in epoll, so 256 idle connections
+# burn < 2% of a core; a parked subscriber hears an enqueue within 50 ms;
+# intake and shutdown wake blocked shards; 50 start/stop cycles leak no
+# fd; a client that stops reading is pushed back on (a push subscriber
+# is dropped); 100k-deep extras JSON gets a typed reply, not a crash.
+cargo test -q --release -p sqalpel-core --test v2_readiness
+# The vendored JSON parser (not a workspace member, so not covered by
+# --workspace) refuses nesting past depth 128.
+cargo test -q --release -p serde_json
 # The binary durability formats: random WAL records and populated states
 # round-trip (WAL only, snapshot, snapshot + tail), a WAL cut anywhere in
 # its last frame recovers the intact prefix, a flipped snapshot byte fails

@@ -136,10 +136,16 @@ impl MetricsRegistry {
         &self.shards[(fnv1a(name) % SHARDS as u64) as usize]
     }
 
-    /// Add `n` to a counter, creating it at zero first.
+    /// Add `n` to a counter, creating it at zero first. The name is
+    /// copied only on that first insert.
     pub fn add(&self, name: &str, n: u64) {
         let mut shard = self.shard(name).lock();
-        *shard.counters.entry(name.to_string()).or_insert(0) += n;
+        match shard.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                shard.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Increment a counter by one.
@@ -147,14 +153,18 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Record one duration sample into a histogram.
+    /// Record one duration sample into a histogram (the name is copied
+    /// only when the histogram is created).
     pub fn observe_nanos(&self, name: &str, nanos: u64) {
         let mut shard = self.shard(name).lock();
-        shard
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(nanos);
+        match shard.histograms.get_mut(name) {
+            Some(h) => h.record(nanos),
+            None => shard
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(nanos),
+        }
     }
 
     /// Time a closure into the named histogram.

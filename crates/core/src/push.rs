@@ -19,6 +19,7 @@
 
 use crate::error::PlatformResult;
 use crate::project::{ExperimentId, ProjectId};
+use crate::wire::poll::Waker;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -37,6 +38,9 @@ pub enum Notification {
 
 struct Sub {
     pending: Vec<Notification>,
+    /// Written after each publish: the v2 shard serving the subscribed
+    /// connection drains `pending` only when woken.
+    waker: Option<Arc<Waker>>,
 }
 
 #[derive(Default)]
@@ -52,7 +56,7 @@ struct Inner {
 
 /// Fan-out hub for [`Notification`]s. One per server; subscriptions are
 /// cheap (a vec of pending notifications) and torn down explicitly by
-/// [`PushHub::unsubscribe`] — a wire connection's death sweep or a
+/// [`PushHub::unsubscribe`] — a wire connection's close or a
 /// [`LocalWaiter`]'s drop.
 ///
 /// Uses `std::sync` (not `parking_lot`) because in-process waiters park
@@ -72,10 +76,22 @@ impl PushHub {
     /// subscription id used by [`drain`](PushHub::drain) /
     /// [`wait`](PushHub::wait) / [`unsubscribe`](PushHub::unsubscribe).
     pub fn subscribe(&self, key: &str) -> u64 {
+        self.subscribe_with(key, None)
+    }
+
+    /// [`subscribe`](PushHub::subscribe), plus a v2 shard's waker that
+    /// every publish to this subscription writes.
+    pub(crate) fn subscribe_with(&self, key: &str, waker: Option<Arc<Waker>>) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         inner.next_id += 1;
         let id = inner.next_id;
-        inner.subs.insert(id, Sub { pending: Vec::new() });
+        inner.subs.insert(
+            id,
+            Sub {
+                pending: Vec::new(),
+                waker,
+            },
+        );
         *inner.by_key.entry(key.to_string()).or_insert(0) += 1;
         inner.key_of.insert(id, key.to_string());
         id
@@ -109,19 +125,27 @@ impl PushHub {
     }
 
     /// Publish a notification to every live subscription — one copy
-    /// each, in publish order.
+    /// each, in publish order — then wake each distinct shard waker once.
     pub fn notify(&self, n: &Notification) {
+        let mut wakers: Vec<Arc<Waker>> = Vec::new();
         let mut inner = self.inner.lock().unwrap();
         for sub in inner.subs.values_mut() {
             sub.pending.push(n.clone());
+            if let Some(w) = &sub.waker {
+                if !wakers.iter().any(|seen| Arc::ptr_eq(seen, w)) {
+                    wakers.push(Arc::clone(w));
+                }
+            }
         }
         drop(inner);
         self.wake.notify_all();
+        for w in wakers {
+            w.wake();
+        }
     }
 
     /// Take every pending notification for a subscription without
-    /// blocking (the wire server's per-sweep drain). Unknown ids drain
-    /// empty.
+    /// blocking (a woken v2 shard's drain). Unknown ids drain empty.
     pub fn drain(&self, id: u64) -> Vec<Notification> {
         let mut inner = self.inner.lock().unwrap();
         match inner.subs.get_mut(&id) {

@@ -16,8 +16,9 @@
 //!   behavioral equivalence is structural, not disciplined.
 //!
 //! [`WireServer`] serves v1 over HTTP with a bounded thread pool;
-//! [`V2Server`] serves v2 frames with a nonblocking sharded event loop
-//! (thousands of idle connections cost buffers, not threads) and
+//! [`V2Server`] serves v2 frames with a readiness-driven sharded event
+//! loop over epoll ([`poll`]; thousands of idle connections cost buffers,
+//! not threads or CPU) and
 //! supports **pipelining** — many tagged requests in flight on one
 //! connection. [`WireClient`], built via [`WireClient::builder`], speaks
 //! either protocol behind one typed API and implements
@@ -48,6 +49,7 @@
 
 pub mod client;
 pub mod dispatch;
+pub(crate) mod poll;
 pub mod proto;
 pub mod server;
 pub mod transport;

@@ -129,6 +129,19 @@ impl ErrorCode {
     }
 }
 
+/// The `wire.status.<class>xx` counter both servers bump per request,
+/// as a static name. Every status either protocol produces is 1xx–5xx.
+pub fn status_metric(status: u16) -> &'static str {
+    const NAMES: [&str; 5] = [
+        "wire.status.1xx",
+        "wire.status.2xx",
+        "wire.status.3xx",
+        "wire.status.4xx",
+        "wire.status.5xx",
+    ];
+    NAMES[(usize::from(status / 100)).clamp(1, 5) - 1]
+}
+
 // -------------------------------------------------------- typed requests
 
 /// One platform operation, transport-agnostic. Each protocol version
@@ -234,38 +247,60 @@ pub enum Request {
     Execute { sql: String, fingerprint: Option<u64> },
 }
 
-impl Request {
-    /// A bounded-cardinality metric label for this op.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::RegisterUser { .. } => "register_user",
-            Request::IssueKey { .. } => "issue_key",
-            Request::AddDbms { .. } => "add_dbms",
-            Request::AddHost { .. } => "add_host",
-            Request::DbmsLabels => "dbms_labels",
-            Request::CreateProject { .. } => "create_project",
-            Request::Invite { .. } => "invite",
-            Request::SetTargets { .. } => "set_targets",
-            Request::Comment { .. } => "comment",
-            Request::TakeDown { .. } => "take_down",
-            Request::RoleOf { .. } => "role_of",
-            Request::AddExperiment { .. } => "add_experiment",
-            Request::SeedPool { .. } => "seed_pool",
-            Request::MorphPool { .. } => "morph_pool",
-            Request::EnqueueExperiment { .. } => "enqueue_experiment",
-            Request::ResultsForKey { .. } => "results_for_key",
-            Request::ExportCsv { .. } => "export_csv",
-            Request::HideResult { .. } => "hide_result",
-            Request::RequestTask { .. } => "request_task",
-            Request::ReportResult { .. } => "report_result",
-            Request::ReportBatch { .. } => "report_batch",
-            Request::QueueSummary => "queue_summary",
-            Request::ReapStuck { .. } => "reap_stuck",
-            Request::Requeue { .. } => "requeue",
-            Request::Metrics => "metrics",
-            Request::Execute { .. } => "execute",
+/// `Request::op_name` plus the v2 handler's per-op metric names, all
+/// `&'static str` from one table, so instrumenting a request allocates
+/// nothing.
+macro_rules! op_names {
+    ($($op:pat => $name:literal,)*) => {
+        impl Request {
+            /// A bounded-cardinality metric label for this op.
+            pub fn op_name(&self) -> &'static str {
+                match self {
+                    $($op => $name,)*
+                }
+            }
+
+            /// `wire.route.V2 <op>` and `wire.latency.V2 <op>`: the
+            /// counter and histogram the v2 server records this op under.
+            pub fn v2_metric_names(&self) -> (&'static str, &'static str) {
+                match self {
+                    $($op => (
+                        concat!("wire.route.V2 ", $name),
+                        concat!("wire.latency.V2 ", $name),
+                    ),)*
+                }
+            }
         }
-    }
+    };
+}
+
+op_names! {
+    Request::RegisterUser { .. } => "register_user",
+    Request::IssueKey { .. } => "issue_key",
+    Request::AddDbms { .. } => "add_dbms",
+    Request::AddHost { .. } => "add_host",
+    Request::DbmsLabels => "dbms_labels",
+    Request::CreateProject { .. } => "create_project",
+    Request::Invite { .. } => "invite",
+    Request::SetTargets { .. } => "set_targets",
+    Request::Comment { .. } => "comment",
+    Request::TakeDown { .. } => "take_down",
+    Request::RoleOf { .. } => "role_of",
+    Request::AddExperiment { .. } => "add_experiment",
+    Request::SeedPool { .. } => "seed_pool",
+    Request::MorphPool { .. } => "morph_pool",
+    Request::EnqueueExperiment { .. } => "enqueue_experiment",
+    Request::ResultsForKey { .. } => "results_for_key",
+    Request::ExportCsv { .. } => "export_csv",
+    Request::HideResult { .. } => "hide_result",
+    Request::RequestTask { .. } => "request_task",
+    Request::ReportResult { .. } => "report_result",
+    Request::ReportBatch { .. } => "report_batch",
+    Request::QueueSummary => "queue_summary",
+    Request::ReapStuck { .. } => "reap_stuck",
+    Request::Requeue { .. } => "requeue",
+    Request::Metrics => "metrics",
+    Request::Execute { .. } => "execute",
 }
 
 // ---------------------------------------------------------- typed replies
@@ -672,6 +707,27 @@ pub(crate) fn u64_array(v: &Value, key: &str) -> PlatformResult<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn static_metric_names_match_the_formatted_ones() {
+        for op in [
+            Request::QueueSummary,
+            Request::Metrics,
+            Request::RequestTask {
+                key: ContributorKey("ck".into()),
+                dbms_label: "d".into(),
+                host: "h".into(),
+                claim: None,
+            },
+        ] {
+            let (route, latency) = op.v2_metric_names();
+            assert_eq!(route, format!("wire.route.V2 {}", op.op_name()));
+            assert_eq!(latency, format!("wire.latency.V2 {}", op.op_name()));
+        }
+        for status in [200, 400, 404, 429, 451, 500] {
+            assert_eq!(status_metric(status), format!("wire.status.{}xx", status / 100));
+        }
+    }
 
     #[test]
     fn error_codes_are_stable_and_bijective() {

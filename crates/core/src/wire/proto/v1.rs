@@ -50,8 +50,8 @@
 //! (`wire.latency.<METHOD /path>`), all served back by `GET /v1/metrics`.
 
 use super::{
-    need, need_bool, need_str, need_strings, need_u64, obj, strings, ErrorCode, ExecOutcome,
-    Reply, Request,
+    need, need_bool, need_str, need_strings, need_u64, obj, status_metric, strings, ErrorCode,
+    ExecOutcome, Reply, Request,
 };
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
@@ -133,7 +133,7 @@ pub fn handle(
     let metrics = server.metrics();
     metrics.incr("wire.requests");
     metrics.incr(&format!("wire.route.{label}"));
-    metrics.incr(&format!("wire.status.{}xx", resp.status / 100));
+    metrics.incr(status_metric(resp.status));
     metrics.observe_nanos(
         &format!("wire.latency.{label}"),
         start.elapsed().as_nanos() as u64,

@@ -1,5 +1,5 @@
 //! The wire servers: v1 HTTP (bounded thread pool) and v2 framed
-//! (nonblocking sharded event loop).
+//! (readiness-driven sharded event loop).
 //!
 //! [`WireServer`] is the original HTTP/1.1 muscle: one acceptor thread
 //! feeds accepted connections into a bounded channel drained by a fixed
@@ -11,12 +11,20 @@
 //! persistent and cheap: the acceptor deals them round-robin to a small
 //! set of shard threads, and each shard multiplexes *all* its
 //! connections with nonblocking I/O — ten thousand mostly-idle
-//! contributors cost buffers, not threads. A shard sweeps its
-//! connections (flush pending writes, read available bytes, dispatch
-//! every complete frame); when a sweep does no work it yields, then
-//! sleeps briefly, so an idle server burns no CPU to speak of. A partial
-//! frame left at disconnect is discarded **without dispatching** — the
-//! drop-injection suite depends on that.
+//! contributors cost buffers, not threads. Each shard owns an epoll set
+//! and an eventfd waker ([`crate::wire::poll`]) and blocks in
+//! `epoll_wait` with no timeout, so an idle shard burns no CPU and a
+//! request is served the moment it arrives. A ready connection is
+//! serviced — flush pending writes, read available bytes, dispatch every
+//! complete frame, flush — and its registration follows its buffers:
+//! readable (plus peer hang-up) while it may read, writable only while
+//! replies wait. The waker fires when the acceptor hands the shard a
+//! connection, when the push hub queues a notification for one of its
+//! subscribers, and at shutdown. A connection holding more than
+//! `max_frame` unsent bytes is not read (TCP pushes back on its peer); a
+//! push subscriber in that state is dropped (`wire.slow_consumer_drops`).
+//! A partial frame left at disconnect is discarded **without
+//! dispatching** — the drop-injection suite depends on that.
 //!
 //! Both servers execute ops through the one shared
 //! [`dispatch`](crate::wire::dispatch::dispatch), optionally with an
@@ -27,16 +35,18 @@ use crate::driver::RunOutcome;
 use crate::queue::TaskId;
 use crate::server::SqalpelServer;
 use crate::wire::dispatch::ExecBackend;
+use crate::wire::poll::{Poller, Waker, READ, WRITE};
 use crate::wire::proto::v1;
 use crate::wire::proto::v2::{self, DecodedRequest};
-use crate::wire::proto::{ErrorCode, Reply, Request};
+use crate::wire::proto::{status_metric, ErrorCode, Reply, Request};
 use crate::wire::transport::http::{read_request, write_response, Response};
 use crate::PlatformError;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -206,7 +216,9 @@ fn handler_loop(
 pub struct V2Config {
     /// Shard threads; each multiplexes its share of all connections.
     pub shards: usize,
-    /// Per-frame body cap in bytes.
+    /// Per-frame body cap in bytes. Also caps a connection's unsent
+    /// replies: above it the server stops reading that connection, and a
+    /// push subscriber above it is dropped.
     pub max_frame: usize,
 }
 
@@ -223,6 +235,8 @@ impl Default for V2Config {
 pub struct V2Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// One per shard; shutdown writes each so a blocked shard sees `stop`.
+    wakers: Vec<Arc<Waker>>,
     acceptor: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
 }
@@ -239,29 +253,50 @@ impl V2Server {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
-        let mut senders = Vec::new();
-        let shards = (0..config.shards.max(1))
-            .map(|_| {
-                let (tx, rx) = sync_channel::<TcpStream>(64);
-                senders.push(tx);
-                let server = Arc::clone(&server);
-                let backend = backend.clone();
+        // Open every shard's fds before starting any thread, so a failure
+        // leaves nothing running.
+        let mut inboxes = Vec::new();
+        let mut shards = Vec::new();
+        for _ in 0..config.shards.max(1) {
+            let (tx, rx) = sync_channel::<TcpStream>(64);
+            let waker = Arc::new(Waker::new()?);
+            let poller = Poller::new()?;
+            poller.add(waker.raw_fd(), WAKE, READ)?;
+            inboxes.push(ShardInbox {
+                tx,
+                waker: Arc::clone(&waker),
+            });
+            shards.push(Shard {
+                ctx: ShardCtx {
+                    server: Arc::clone(&server),
+                    backend: backend.clone(),
+                    waker,
+                    max_frame: config.max_frame,
+                },
+                poller,
+                rx,
+                conns: HashMap::new(),
+                next_token: WAKE + 1,
+            });
+        }
+        let wakers = inboxes.iter().map(|i| Arc::clone(&i.waker)).collect();
+        let shards = shards
+            .into_iter()
+            .map(|shard| {
                 let stop = Arc::clone(&stop);
-                let max_frame = config.max_frame;
-                std::thread::spawn(move || {
-                    shard_loop(&server, backend.as_ref(), &rx, &stop, max_frame)
-                })
+                std::thread::spawn(move || shard.run(&stop))
             })
             .collect();
 
         let acceptor = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || v2_acceptor_loop(&listener, &senders, &stop))
+            std::thread::spawn(move || v2_acceptor_loop(&listener, &inboxes, &stop))
         };
 
         Ok(V2Server {
             addr: local,
             stop,
+            wakers,
             acceptor: Some(acceptor),
             shards,
         })
@@ -280,6 +315,9 @@ impl V2Server {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
+        for waker in &self.wakers {
+            waker.wake();
+        }
         for shard in self.shards.drain(..) {
             let _ = shard.join();
         }
@@ -292,7 +330,14 @@ impl Drop for V2Server {
     }
 }
 
-fn v2_acceptor_loop(listener: &TcpListener, shards: &[SyncSender<TcpStream>], stop: &AtomicBool) {
+/// The acceptor's handle on one shard: where to hand a stream over, and
+/// the waker that makes the shard take it.
+struct ShardInbox {
+    tx: SyncSender<TcpStream>,
+    waker: Arc<Waker>,
+}
+
+fn v2_acceptor_loop(listener: &TcpListener, shards: &[ShardInbox], stop: &AtomicBool) {
     let mut next = 0usize;
     loop {
         let conn = listener.accept();
@@ -302,12 +347,143 @@ fn v2_acceptor_loop(listener: &TcpListener, shards: &[SyncSender<TcpStream>], st
         match conn {
             Ok((stream, _)) => {
                 // Round-robin; a closed shard channel means shutdown.
-                if shards[next % shards.len()].send(stream).is_err() {
+                let shard = &shards[next % shards.len()];
+                if shard.tx.send(stream).is_err() {
                     return;
                 }
+                shard.waker.wake();
                 next = next.wrapping_add(1);
             }
             Err(_) => continue,
+        }
+    }
+}
+
+/// The epoll token of a shard's own waker; connections count up from 1.
+const WAKE: u64 = 0;
+
+/// What every connection on one shard shares.
+struct ShardCtx {
+    server: Arc<SqalpelServer>,
+    backend: Option<ExecBackend>,
+    /// Handed to the push hub with each subscription made on this shard.
+    waker: Arc<Waker>,
+    max_frame: usize,
+}
+
+/// One shard thread: its epoll set, its intake channel and its
+/// connections keyed by epoll token.
+struct Shard {
+    ctx: ShardCtx,
+    poller: Poller,
+    rx: Receiver<TcpStream>,
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+}
+
+impl Shard {
+    /// Block until something is ready, service exactly that, repeat. The
+    /// waker fires for intake, push notifications and shutdown.
+    fn run(mut self, stop: &AtomicBool) {
+        let mut ready = Vec::new();
+        while self.poller.wait(&mut ready).is_ok() {
+            let mut woken = false;
+            for &token in &ready {
+                if token == WAKE {
+                    woken = true;
+                } else if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.service(&self.ctx);
+                    self.rearm(token);
+                }
+            }
+            if woken {
+                // Reset before looking, so a wake that lands while this
+                // pass runs fires again.
+                self.ctx.waker.reset();
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                self.intake();
+                self.deliver_push();
+            }
+        }
+        // Subscriptions hold this shard's waker: release them with the
+        // connections (the poller and the waker close when dropped).
+        for conn in self.conns.values() {
+            if let Some(sub) = conn.sub {
+                self.ctx.server.push_hub().unsubscribe(sub);
+            }
+        }
+    }
+
+    /// Adopt every stream the acceptor handed over.
+    fn intake(&mut self) {
+        while let Ok(stream) = self.rx.try_recv() {
+            let Some(conn) = Conn::adopt(stream) else {
+                continue;
+            };
+            let token = self.next_token;
+            self.next_token += 1;
+            let fd = conn.stream.as_raw_fd();
+            if self.poller.add(fd, token, READ).is_ok() {
+                self.conns.insert(token, conn);
+            }
+        }
+    }
+
+    /// Move pending notifications into the subscribed connections'
+    /// output. A subscriber still holding more than `max_frame` unsent
+    /// bytes after a flush is not reading: it is unsubscribed and closed.
+    fn deliver_push(&mut self) {
+        let (server, max_frame) = (&self.ctx.server, self.ctx.max_frame);
+        let mut touched = Vec::new();
+        for (&token, conn) in &mut self.conns {
+            let Some(sub) = conn.sub else {
+                continue;
+            };
+            let notes = server.push_hub().drain(sub);
+            if notes.is_empty() {
+                continue;
+            }
+            for n in &notes {
+                conn.outbuf
+                    .extend_from_slice(&v2::encode_notification_frame(n));
+            }
+            server.metrics().add("wire.push_frames", notes.len() as u64);
+            conn.flush();
+            if conn.outbuf.len() > max_frame {
+                server.metrics().incr("wire.slow_consumer_drops");
+                conn.fail();
+            }
+            touched.push(token);
+        }
+        for token in touched {
+            self.rearm(token);
+        }
+    }
+
+    /// Register the interest a serviced connection's buffers call for;
+    /// close it once it is dead and flushed.
+    fn rearm(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let want = conn.interest(self.ctx.max_frame);
+        if want == conn.armed {
+            return;
+        }
+        if want != 0
+            && self
+                .poller
+                .modify(conn.stream.as_raw_fd(), token, want)
+                .is_ok()
+        {
+            conn.armed = want;
+            return;
+        }
+        // Dropping the stream closes its fd, which leaves the epoll set.
+        if let Some(sub) = self.conns.remove(&token).and_then(|c| c.sub) {
+            self.ctx.server.push_hub().unsubscribe(sub);
         }
     }
 }
@@ -319,8 +495,11 @@ struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
-    /// Closed (or poisoned) — remove after the output buffer drains.
+    /// Read no more (EOF, lost framing, refused handshake); closed once
+    /// the output buffer drains.
     dead: bool,
+    /// The epoll interest currently registered.
+    armed: u32,
     /// Push-hub subscription id, once the connection subscribed.
     sub: Option<u64>,
     /// Bulk continuation frames buffered per tag, awaiting the summary
@@ -333,88 +512,6 @@ struct Conn {
 /// sequence before the server refuses and hangs up.
 const MAX_BATCH_PAIRS: usize = 1 << 22;
 
-/// How many consecutive empty sweeps a shard spins (yielding) before it
-/// starts sleeping between sweeps.
-const SPIN_SWEEPS: u32 = 50;
-/// The sleep once spinning gives up — short enough that a lone serial
-/// caller still sees sub-millisecond latency.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-fn shard_loop(
-    server: &SqalpelServer,
-    backend: Option<&ExecBackend>,
-    rx: &Receiver<TcpStream>,
-    stop: &AtomicBool,
-    max_frame: usize,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_sweeps = 0u32;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Intake. With no connections at all, block on the channel (a
-        // timeout keeps the stop flag observed); otherwise just drain
-        // whatever has arrived and get back to sweeping.
-        if conns.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(stream) => {
-                    if let Some(conn) = Conn::adopt(stream) {
-                        conns.push(conn);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    if let Some(conn) = Conn::adopt(stream) {
-                        conns.push(conn);
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            }
-        }
-
-        let mut progressed = false;
-        for conn in &mut conns {
-            // Deliver pending push frames first, so the sweep's flush
-            // carries them out with whatever else is queued.
-            if let Some(sub) = conn.sub {
-                for n in server.push_hub().drain(sub) {
-                    conn.outbuf
-                        .extend_from_slice(&v2::encode_notification_frame(&n));
-                    server.metrics().incr("wire.push_frames");
-                    progressed = true;
-                }
-            }
-            progressed |= conn.sweep(server, backend, max_frame);
-        }
-        for conn in &conns {
-            if conn.dead && conn.outbuf.is_empty() {
-                if let Some(sub) = conn.sub {
-                    server.push_hub().unsubscribe(sub);
-                }
-            }
-        }
-        conns.retain(|c| !(c.dead && c.outbuf.is_empty()));
-
-        if progressed {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps = idle_sweeps.saturating_add(1);
-            if idle_sweeps < SPIN_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
-    }
-}
-
 impl Conn {
     fn adopt(stream: TcpStream) -> Option<Conn> {
         stream.set_nonblocking(true).ok()?;
@@ -424,52 +521,66 @@ impl Conn {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             dead: false,
+            armed: READ,
             sub: None,
             parts: HashMap::new(),
         })
     }
 
-    /// One multiplexing pass: flush what we can, read what's there,
-    /// dispatch every complete frame. Returns whether any work happened.
-    fn sweep(
-        &mut self,
-        server: &SqalpelServer,
-        backend: Option<&ExecBackend>,
-        max_frame: usize,
-    ) -> bool {
-        let mut progressed = self.flush();
-        if self.dead {
-            return progressed;
-        }
-        progressed |= self.fill();
-        // Dispatch complete frames even when the read marked the conn
-        // dead: everything fully framed before EOF still counts. A
-        // *partial* frame left in the buffer is dropped undispatched.
+    /// Service a ready connection: flush what we can, read what's there,
+    /// dispatch every complete frame, flush. While the output buffer
+    /// holds more than `max_frame` bytes the peer is not taking its
+    /// replies: reading and dispatching pause, so TCP pushes back on it
+    /// instead of the buffer growing.
+    fn service(&mut self, ctx: &ShardCtx) {
         loop {
-            match v2::take_frame(&mut self.inbuf, max_frame) {
-                Ok(Some((tag, body))) => {
-                    progressed = true;
-                    self.respond(server, backend, tag, &body);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Malformed header: framing is lost, close.
-                    self.dead = true;
+            self.flush();
+            if !self.dead && self.outbuf.len() <= ctx.max_frame {
+                self.fill(ctx.max_frame);
+            }
+            // Dispatch complete frames even when the read marked the conn
+            // dead: everything fully framed before EOF still counts. A
+            // *partial* frame left in the buffer is dropped undispatched.
+            let mut held = false;
+            loop {
+                if self.outbuf.len() > ctx.max_frame {
+                    held = true;
                     break;
                 }
+                match v2::take_frame(&mut self.inbuf, ctx.max_frame) {
+                    Ok(Some((tag, body))) => self.respond(ctx, tag, &body),
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Malformed header: framing is lost, close.
+                        self.dead = true;
+                        self.inbuf.clear();
+                        break;
+                    }
+                }
+            }
+            self.flush();
+            // Frames held back by the cap must go as soon as a flush makes
+            // room: no read event will announce them again.
+            if !held || self.outbuf.len() > ctx.max_frame {
+                return;
             }
         }
-        progressed |= self.flush();
-        progressed
     }
 
-    fn respond(
-        &mut self,
-        server: &SqalpelServer,
-        backend: Option<&ExecBackend>,
-        tag: u32,
-        body: &[u8],
-    ) {
+    /// The epoll interest the buffers call for; 0 once the connection is
+    /// dead and flushed (close it).
+    fn interest(&self, max_frame: usize) -> u32 {
+        let read = if !self.dead && self.outbuf.len() <= max_frame {
+            READ
+        } else {
+            0
+        };
+        let write = if self.outbuf.is_empty() { 0 } else { WRITE };
+        read | write
+    }
+
+    fn respond(&mut self, ctx: &ShardCtx, tag: u32, body: &[u8]) {
+        let (server, backend) = (&*ctx.server, ctx.backend.as_ref());
         let frame = match v2::decode_request(body) {
             Ok(DecodedRequest::Hello { version }) if version == v2::PROTO_VERSION => {
                 v2::encode_hello_ok_frame(tag)
@@ -526,7 +637,8 @@ impl Conn {
                 if let Some(old) = self.sub.take() {
                     server.push_hub().unsubscribe(old);
                 }
-                self.sub = Some(server.push_hub().subscribe(&key.0));
+                let waker = Some(Arc::clone(&ctx.waker));
+                self.sub = Some(server.push_hub().subscribe_with(&key.0, waker));
                 v2::encode_reply_frame(tag, &Ok(Reply::Unit))
             }
             // A complete frame whose payload doesn't decode: the framing
@@ -539,62 +651,61 @@ impl Conn {
         self.outbuf.extend_from_slice(&frame);
     }
 
-    /// Nonblocking read of whatever is available. Returns whether bytes
-    /// arrived; EOF or a hard error marks the connection dead.
-    fn fill(&mut self) -> bool {
-        let mut progressed = false;
+    /// Nonblocking read of whatever is available, up to what completes a
+    /// largest frame; level-triggered readiness reports the rest. EOF or
+    /// a hard error marks the connection dead.
+    fn fill(&mut self, max_frame: usize) {
         let mut chunk = [0u8; 16 * 1024];
-        loop {
+        while self.inbuf.len() < v2::HEADER_LEN + max_frame {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     self.dead = true;
-                    break;
+                    return;
                 }
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]);
-                    progressed = true;
                     if n < chunk.len() {
-                        break;
+                        return;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.dead = true;
-                    break;
+                    return;
                 }
             }
         }
-        progressed
     }
 
     /// Nonblocking flush of pending response bytes.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
+    fn flush(&mut self) {
         while !self.outbuf.is_empty() {
             match self.stream.write(&self.outbuf) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
+                Ok(0) => return self.fail(),
                 Ok(n) => {
                     self.outbuf.drain(..n);
-                    progressed = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
+                Err(_) => return self.fail(),
             }
         }
-        progressed
+    }
+
+    /// The peer can take no more bytes: drop everything buffered, so the
+    /// connection closes at its next rearm.
+    fn fail(&mut self) {
+        self.dead = true;
+        self.inbuf.clear();
+        self.outbuf.clear();
+        self.parts.clear();
     }
 }
 
 /// Dispatch one v2 op with the same metrics instrumentation the v1
-/// handler applies, under protocol-qualified labels.
+/// handler applies, under protocol-qualified labels. Every metric name
+/// is a static string: instrumenting allocates nothing.
 fn handle_v2(
     server: &SqalpelServer,
     backend: Option<&ExecBackend>,
@@ -603,18 +714,15 @@ fn handle_v2(
     let start = std::time::Instant::now();
     let outcome = crate::wire::dispatch::dispatch(server, backend, op);
     let metrics = server.metrics();
-    let label = format!("V2 {}", op.op_name());
+    let (route, latency) = op.v2_metric_names();
     metrics.incr("wire.requests");
-    metrics.incr(&format!("wire.route.{label}"));
-    let status_class = match &outcome {
-        Ok(_) => 2,
-        Err(e) => ErrorCode::of(e).http_status() / 100,
+    metrics.incr(route);
+    let status = match &outcome {
+        Ok(_) => 200,
+        Err(e) => ErrorCode::of(e).http_status(),
     };
-    metrics.incr(&format!("wire.status.{status_class}xx"));
-    metrics.observe_nanos(
-        &format!("wire.latency.{label}"),
-        start.elapsed().as_nanos() as u64,
-    );
+    metrics.incr(status_metric(status));
+    metrics.observe_nanos(latency, start.elapsed().as_nanos() as u64);
     outcome
 }
 
