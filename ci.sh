@@ -129,13 +129,17 @@ cargo test -q --release -p serde_json
 # round-trip (WAL only, snapshot, snapshot + tail), a WAL cut anywhere in
 # its last frame recovers the intact prefix, a flipped snapshot byte fails
 # with InvalidData, and hostile bytes fed to the v2 decoders and the WAL
-# parser never panic or allocate beyond a small multiple of their input.
+# parser (null-heavy result sets included) never panic or allocate beyond
+# a small multiple of their input.
 cargo test -q --release -p sqalpel-core --test durability_codec_props
 # Crash-recovery e2e: kill -9 a durable `repro serve` mid-walk, restart,
 # and require byte-identical acked results, re-hand-out of the open claim
 # to its original key only, and a snapshot on SIGTERM — plus the bulk
-# path: an acked batch replays byte-identical from its one group-commit
-# record, a torn group commit drops the whole batch atomically.
+# path: an acked batch replays byte-identical from its one
+# `reports_accepted` record, a torn one drops the whole batch atomically.
+# `repro wal-dump` reads each recovered dir (0 torn, one
+# `reports_accepted` record per acked report call), and a format-2 state
+# dir is refused by the server and by wal-dump and left byte-identical.
 cargo test -q --release -p sqalpel-bench --test crash_recovery
 # Smoke the bulk + push wire paths end to end over loopback (one batch
 # ack, idempotent retry, a QueueReady frame; no BENCH_wire.json rewrite).

@@ -223,15 +223,13 @@ fn describe(record: &sqalpel_core::WalRecord) -> String {
         ),
         W::TasksEnqueued { project, tasks } => format!("{} tasks in project #{}", tasks.len(), project.0),
         W::TaskClaimed { task, key } => format!("task {} by {}", task.0, key.0),
-        W::ReportAccepted { task, key, error, record } => format!(
-            "task {} by {}: {} times, {} rows{}",
-            task.0,
-            key.0,
-            record.times_ms.len(),
-            record.rows,
-            error.as_ref().map(|e| format!(", error {e:?}")).unwrap_or_default()
+        W::ReportsAccepted { records } => format!(
+            "{} reports by {}: tasks {}, {} errored",
+            records.len(),
+            records.first().map_or("-", |r| r.contributor.as_str()),
+            records.iter().map(|r| r.task.to_string()).collect::<Vec<_>>().join(" "),
+            records.iter().filter(|r| r.error.is_some()).count()
         ),
-        W::ReportBatchAccepted { key, items } => format!("{} reports by {}", items.len(), key.0),
         W::TasksReaped { project, tasks } => format!("{} tasks in project #{}", tasks.len(), project.0),
         W::TaskRequeued { task } => format!("task {}", task.0),
         W::ResultHidden { project, index, hidden } => {

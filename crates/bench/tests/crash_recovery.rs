@@ -8,11 +8,16 @@
 //!   to its original contributor key (and to nobody else), and can still
 //!   be reported;
 //! * a SIGTERM shutdown writes a final snapshot that the next boot
-//!   recovers from.
+//!   recovers from;
+//! * `repro wal-dump` reads the recovered WAL: no torn frame, and one
+//!   `reports_accepted` record per acked report call in the tail;
+//! * a state dir of the previous format (version 2) is refused by both
+//!   the server and `repro wal-dump`, and left byte-identical.
 
 use sqalpel_core::{ContributorKey, LoadAvg, Proto, ProjectId, RunOutcome, UserId, WireClient};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
 /// A serve child that is killed when the test panics mid-way. The stdout
@@ -103,6 +108,25 @@ fn outcome() -> RunOutcome {
     }
 }
 
+/// `repro wal-dump <dir>`: its exit status, stdout and stderr.
+fn wal_dump(dir: &Path) -> (bool, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("wal-dump")
+        .arg(dir)
+        .output()
+        .expect("run repro wal-dump");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("utf-8 output");
+    (out.status.success(), text(out.stdout), text(out.stderr))
+}
+
+/// The lines of a `wal-dump` listing that show a record of `kind`.
+fn dumped<'a>(listing: &'a str, kind: &str) -> Vec<&'a str> {
+    listing
+        .lines()
+        .filter(|line| line.split_whitespace().nth(1) == Some(kind))
+        .collect()
+}
+
 const DBMS: &str = "rowstore-2.0";
 const HOST: &str = "bench-server";
 /// The demo bootstrap's TPC-H project, and its admin (always the first
@@ -165,6 +189,16 @@ fn kill_nine_mid_walk_loses_nothing() {
     client2.report_result(&old_key, open.id, &outcome()).expect("report after recovery");
     let csv_done = client2.export_csv(PROJECT, ADMIN).expect("csv after report");
     assert_eq!(csv_done.lines().count(), 1 + 6, "exactly one new row for the recovered claim");
+
+    // The recovered WAL, as `repro wal-dump` reads it: intact, and one
+    // single-report record for each of the six acked reports (no
+    // snapshot has truncated it yet).
+    let (ok, listing, err) = wal_dump(&dir);
+    assert!(ok, "wal-dump of the live state dir fails: {err}");
+    assert!(listing.lines().next().unwrap_or("").ends_with(", 0 torn"), "{listing}");
+    let reports = dumped(&listing, "reports_accepted");
+    assert_eq!(reports.len(), 6, "{listing}");
+    assert!(reports.iter().all(|what| what.contains(" 1 reports by ")), "{listing}");
 
     // SIGTERM: graceful shutdown writes a final snapshot.
     let pid = serve2.child.id().to_string();
@@ -277,6 +311,48 @@ fn kill_nine_mid_group_commit_keeps_bulk_batches_atomic() {
     let csv_final = client3.export_csv(PROJECT, ADMIN).expect("csv after resubmit");
     assert_eq!(csv_final, csv2, "resubmitted batch restores the pre-crash export byte-for-byte");
 
+    // Reopening cut the torn group commit off the WAL, so `wal-dump`
+    // sees no torn frame: batch 1's record and the resubmitted batch 2's,
+    // three reports each.
+    let (ok, listing, err) = wal_dump(&dir);
+    assert!(ok, "wal-dump of the recovered state dir fails: {err}");
+    assert!(listing.lines().next().unwrap_or("").ends_with(", 0 torn"), "{listing}");
+    let reports = dumped(&listing, "reports_accepted");
+    assert_eq!(reports.len(), 2, "{listing}");
+    assert!(reports.iter().all(|what| what.contains(" 3 reports by ")), "{listing}");
+
     drop(serve3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state dir of the previous format (version 2, whose single-report
+/// record kind this build no longer decodes) is refused, never read as
+/// a torn tail and cut: the server's open and `repro wal-dump` both name
+/// the version, and the file stays byte-identical. The fixture is the WAL
+/// a version-2 build wrote for one project, one claimed task and one
+/// accepted report (a kind-14 `report_accepted` record).
+#[test]
+fn format_two_state_dir_is_refused_untouched() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/format2-state/wal.log");
+    let original = std::fs::read(&fixture).expect("fixture");
+    assert!(original.starts_with(b"SQALWAL\x02"));
+    let dir = std::env::temp_dir().join(format!("sqalpel-format2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let wal = dir.join("wal.log");
+    std::fs::write(&wal, &original).expect("copy fixture");
+
+    let err = sqalpel_core::Durability::open(&dir).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("version 2"), "{err}");
+    assert!(sqalpel_core::SqalpelServer::open(&dir).is_err());
+
+    let (ok, _, err) = wal_dump(&dir);
+    assert!(!ok, "wal-dump must fail on a format-2 dir");
+    assert!(err.contains("version 2"), "{err}");
+
+    assert_eq!(std::fs::read(&wal).expect("wal still there"), original, "refused WAL was modified");
+    let files: Vec<_> = std::fs::read_dir(&dir).expect("listing").filter_map(|e| e.ok()).collect();
+    assert_eq!(files.len(), 1, "refusal left files behind");
     let _ = std::fs::remove_dir_all(&dir);
 }

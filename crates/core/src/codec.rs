@@ -24,8 +24,10 @@ use sqalpel_grammar::Choice;
 use std::borrow::Borrow;
 
 /// Version of the on-disk formats (WAL and snapshots). Version 1 was
-/// JSON text; a state directory in it is refused, not migrated.
-pub const FORMAT_VERSION: u8 = 2;
+/// JSON text; version 2 logged a single report and a batch as two record
+/// kinds that repeated each record's task, key and error. A state
+/// directory in either is refused, not migrated.
+pub const FORMAT_VERSION: u8 = 3;
 
 /// An on-disk file header: a 7-byte magic, then [`FORMAT_VERSION`].
 pub(crate) const fn file_header(magic: &[u8; 7]) -> [u8; 8] {

@@ -5,9 +5,10 @@
 //! crash.** The server logs a typed [`WalRecord`] for every mutation
 //! *before* releasing the lock that made it (so WAL order equals
 //! mutation order per lock domain), written to the OS per record. A
-//! bulk upload group-commits: all of its reports ride one
-//! [`WalRecord::ReportBatchAccepted`] frame — one append, one write, one
-//! checksum — so the batch is acknowledged, and replays, atomically.
+//! report call logs one [`WalRecord::ReportsAccepted`] frame per shard
+//! it touches (a single report is a batch of one); a bulk upload's
+//! reports thus group-commit — one append, one write, one checksum — so
+//! the batch is acknowledged, and replays, atomically.
 //! Snapshots bound replay time; the WAL is truncated when one lands.
 //! Records carry their LSN, so on boot [`recover`] loads the newest
 //! snapshot and replays only records past its LSN — a crash between the
@@ -18,9 +19,11 @@
 //! semantics the wire protocol's idempotent retries expect.
 //!
 //! The WAL and snapshots are binary, in the [`crate::codec`] wire v2
-//! speaks, behind a format version byte ([`crate::codec::FORMAT_VERSION`]);
-//! see [`wal`] and [`snapshot`] for the layouts. A state directory
-//! written in another format is refused at open, never read as empty.
+//! speaks, behind a format version byte ([`crate::codec::FORMAT_VERSION`],
+//! 3); see [`wal`] and [`snapshot`] for the layouts. A state directory
+//! written in another format (1: JSON text; 2: separate single and batch
+//! report records) is refused at open and left as it was, never read as
+//! empty or cut as a torn tail.
 
 pub mod recovery;
 pub mod snapshot;
@@ -114,7 +117,7 @@ mod tests {
         std::fs::write(dir.join(WAL_FILE), "").unwrap();
         let err = Durability::open(&dir).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("format version 2"), "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
 
         let dir = tmp_dir("old-wal");
@@ -122,7 +125,7 @@ mod tests {
         std::fs::write(dir.join(WAL_FILE), line).unwrap();
         let err = Durability::open(&dir).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("format version 2"), "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
         // The refused log is left exactly as it was.
         assert_eq!(std::fs::read_to_string(dir.join(WAL_FILE)).unwrap(), line);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -243,28 +243,17 @@ pub fn apply(
                 .map(|_| ())
                 .map_err(|e| e.to_string())
         }
-        WalRecord::ReportAccepted {
-            task,
-            key,
-            error,
-            record,
-        } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
-            shard
-                .queue
-                .complete(*task, key, error.clone())
-                .map_err(|e| e.to_string())?;
-            shard.results.push(record.clone());
-            Ok(())
-        }
-        WalRecord::ReportBatchAccepted { key, items } => {
-            // One group commit replays as its per-report effects, in
-            // upload order — all of them or (torn tail) none.
-            for (task, error, record) in items {
-                let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
+        WalRecord::ReportsAccepted { records } => {
+            // Each record carries the completion it implies (task,
+            // contributor, error): replay applies every report of the
+            // group, in upload order — all of them or (torn tail) none.
+            for record in records {
+                let task = crate::queue::TaskId(record.task);
+                let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
+                let key = crate::user::ContributorKey(record.contributor.clone());
                 shard
                     .queue
-                    .complete(*task, key, error.clone())
+                    .complete(task, &key, record.error.clone())
                     .map_err(|e| e.to_string())?;
                 shard.results.push(record.clone());
             }
@@ -408,11 +397,8 @@ mod tests {
                 task: TaskId(base),
                 key: key.clone(),
             },
-            WalRecord::ReportAccepted {
-                task: TaskId(base),
-                key: key.clone(),
-                error: None,
-                record: results::record(
+            WalRecord::ReportsAccepted {
+                records: vec![results::record(
                     TaskId(base),
                     crate::project::ProjectId(1),
                     crate::project::ExperimentId(0),
@@ -423,7 +409,7 @@ mod tests {
                     vec![1.0, 2.0, 3.0],
                     5,
                     None,
-                ),
+                )],
             },
             WalRecord::TaskClaimed {
                 task: TaskId(base + 1),
@@ -472,11 +458,8 @@ mod tests {
         dur.snapshot(&rec.global, &rec.shards.iter().collect::<Vec<_>>())
             .unwrap();
         let base = 1u64 << 32;
-        dur.log(&WalRecord::ReportAccepted {
-            task: TaskId(base + 1),
-            key: key.clone(),
-            error: Some("boom".into()),
-            record: results::record(
+        dur.log(&WalRecord::ReportsAccepted {
+            records: vec![results::record(
                 TaskId(base + 1),
                 crate::project::ProjectId(1),
                 crate::project::ExperimentId(0),
@@ -487,7 +470,7 @@ mod tests {
                 vec![],
                 0,
                 Some("boom".into()),
-            ),
+            )],
         })
         .unwrap();
         dur.log(&WalRecord::ResultHidden {

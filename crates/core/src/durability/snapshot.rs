@@ -6,7 +6,7 @@
 //! # Format
 //!
 //! An 8-byte header — the magic `SQALSNP` and the format version byte
-//! ([`FORMAT_VERSION`], 2) — then a stream of length-prefixed sections:
+//! ([`FORMAT_VERSION`], 3) — then a stream of length-prefixed sections:
 //!
 //! ```text
 //! [kind: u8] [len: u32 LE] [fnv64: u64 LE] [body: len bytes]
@@ -732,7 +732,7 @@ mod tests {
         std::fs::write(dir.join("snapshot-00000000000000000003.jsonl"), "{}\n").unwrap();
         let err = latest_snapshot(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("format version 2"), "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

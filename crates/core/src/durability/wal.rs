@@ -13,7 +13,7 @@
 //! # Format
 //!
 //! The file opens with an 8-byte header, the magic `SQALWAL` and the
-//! format version byte ([`FORMAT_VERSION`], 2). Then one frame per
+//! format version byte ([`FORMAT_VERSION`], 3). Then one frame per
 //! record:
 //!
 //! ```text
@@ -23,9 +23,10 @@
 //!
 //! `lsn` is the record's log sequence number and `fnv64` the FNV-1a
 //! checksum of the lsn, the length and the body. The body encodes its
-//! fields with [`crate::codec`], the same bytes wire v2 sends: a result
-//! record is a one-row columnar block, a group commit one block of all
-//! its records. A torn tail — short frame, bad length, bad checksum, a
+//! fields with [`crate::codec`], the same bytes wire v2 sends: an
+//! accepted report call is one columnar block of its result records (one
+//! row for a single report), each record carrying its task, contributor
+//! and error. A torn tail — short frame, bad length, bad checksum, a
 //! body that does not decode — ends replay at the last intact record,
 //! which is exactly the prefix the platform acknowledged before the
 //! crash; reopening cuts the file back to that prefix before appending.
@@ -33,7 +34,9 @@
 //! if a crash lands between persisting a snapshot and truncating the
 //! log, the stale prefix (lsn <= snapshot lsn) is ignored instead of
 //! replayed twice. A file without the header (the text-framed JSON log
-//! of format 1) is refused with `InvalidData`.
+//! of format 1) or with another version byte (format 2, whose report
+//! records this build cannot decode) is refused with `InvalidData` and
+//! left untouched — never read as a torn tail and cut.
 //!
 //! Each append is written to the OS before the operation acks, which
 //! survives process death (`kill -9`). Full fsync happens at snapshot
@@ -57,12 +60,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// One durable platform mutation.
-///
-/// `ReportAccepted` dominates the enum's size via its inline
-/// `ResultRecord`; records are serialized and dropped (or replayed one
-/// at a time), never held in bulk, so the indirection a box would buy
-/// isn't worth the churn at every construction site.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum WalRecord {
     UserRegistered {
@@ -134,21 +131,14 @@ pub enum WalRecord {
         task: TaskId,
         key: ContributorKey,
     },
-    /// A report acknowledged: the queue completion and the stored record
-    /// in one — replay applies both or neither.
-    ReportAccepted {
-        task: TaskId,
-        key: ContributorKey,
-        error: Option<String>,
-        record: ResultRecord,
-    },
-    /// One bulk upload's accepted reports as a single group commit: one
-    /// frame, one checksum, so a torn tail drops the whole batch
-    /// atomically — an unacked batch never replays partially.
-    ReportBatchAccepted {
-        key: ContributorKey,
-        /// `(task, error, record)` per accepted report, in upload order.
-        items: Vec<(TaskId, Option<String>, ResultRecord)>,
+    /// The reports one `report_result` or one shard of a `report_batch`
+    /// accepted, in upload order. Each record is self-describing: its
+    /// `task`, `contributor` and `error` are the queue completion replay
+    /// applies before storing it. One frame, one checksum, so a torn
+    /// tail drops the whole group atomically — an unacked batch never
+    /// replays partially.
+    ReportsAccepted {
+        records: Vec<ResultRecord>,
     },
     TasksReaped {
         project: ProjectId,
@@ -165,7 +155,7 @@ pub enum WalRecord {
 }
 
 /// Record kind names, indexed by the kind byte minus one.
-const KIND_NAMES: [&str; 18] = [
+const KIND_NAMES: [&str; 17] = [
     "user_registered",
     "key_issued",
     "dbms_added",
@@ -179,8 +169,7 @@ const KIND_NAMES: [&str; 18] = [
     "pool_extended",
     "tasks_enqueued",
     "task_claimed",
-    "report_accepted",
-    "report_batch_accepted",
+    "reports_accepted",
     "tasks_reaped",
     "task_requeued",
     "result_hidden",
@@ -203,15 +192,14 @@ impl WalRecord {
             WalRecord::PoolExtended { .. } => 11,
             WalRecord::TasksEnqueued { .. } => 12,
             WalRecord::TaskClaimed { .. } => 13,
-            WalRecord::ReportAccepted { .. } => 14,
-            WalRecord::ReportBatchAccepted { .. } => 15,
-            WalRecord::TasksReaped { .. } => 16,
-            WalRecord::TaskRequeued { .. } => 17,
-            WalRecord::ResultHidden { .. } => 18,
+            WalRecord::ReportsAccepted { .. } => 14,
+            WalRecord::TasksReaped { .. } => 15,
+            WalRecord::TaskRequeued { .. } => 16,
+            WalRecord::ResultHidden { .. } => 17,
         }
     }
 
-    /// The record kind's name, e.g. `"report_accepted"`.
+    /// The record kind's name, e.g. `"reports_accepted"`.
     pub fn kind(&self) -> &'static str {
         KIND_NAMES[self.kind_byte() as usize - 1]
     }
@@ -314,26 +302,7 @@ impl WalRecord {
                 w.u64(task.0);
                 w.str(&key.0);
             }
-            WalRecord::ReportAccepted {
-                task,
-                key,
-                error,
-                record,
-            } => {
-                w.u64(task.0);
-                w.str(&key.0);
-                w.opt_str(error.as_deref());
-                write_records(w, std::slice::from_ref(record));
-            }
-            WalRecord::ReportBatchAccepted { key, items } => {
-                w.str(&key.0);
-                write_u64s(w, items.iter().map(|(task, _, _)| task.0));
-                for (_, error, _) in items {
-                    w.opt_str(error.as_deref());
-                }
-                let records: Vec<&ResultRecord> = items.iter().map(|(_, _, r)| r).collect();
-                write_records(w, &records);
-            }
+            WalRecord::ReportsAccepted { records } => write_records(w, records),
             WalRecord::TasksReaped { project, tasks } => {
                 w.u64(project.0);
                 write_u64s(w, tasks.iter().map(|t| t.0));
@@ -425,44 +394,17 @@ impl WalRecord {
                 task: TaskId(r.u64()?),
                 key: ContributorKey(r.str()?),
             },
-            14 => {
-                let task = TaskId(r.u64()?);
-                let key = ContributorKey(r.str()?);
-                let error = r.opt_str()?;
-                let Ok([record]) = <[ResultRecord; 1]>::try_from(read_records(r)?) else {
-                    return Err("report_accepted: expected one record".into());
-                };
-                WalRecord::ReportAccepted {
-                    task,
-                    key,
-                    error,
-                    record,
-                }
-            }
-            15 => {
-                let key = ContributorKey(r.str()?);
-                let tasks = read_u64s(r)?;
-                let errors = tasks.iter().map(|_| r.opt_str()).collect::<D<Vec<_>>>()?;
-                let records = read_records(r)?;
-                if records.len() != tasks.len() {
-                    return Err("report_batch_accepted: record count mismatch".into());
-                }
-                let items = tasks
-                    .into_iter()
-                    .zip(errors)
-                    .zip(records)
-                    .map(|((task, error), record)| (TaskId(task), error, record))
-                    .collect();
-                WalRecord::ReportBatchAccepted { key, items }
-            }
-            16 => WalRecord::TasksReaped {
+            14 => WalRecord::ReportsAccepted {
+                records: read_records(r)?,
+            },
+            15 => WalRecord::TasksReaped {
                 project: ProjectId(r.u64()?),
                 tasks: read_u64s(r)?.into_iter().map(TaskId).collect(),
             },
-            17 => WalRecord::TaskRequeued {
+            16 => WalRecord::TaskRequeued {
                 task: TaskId(r.u64()?),
             },
-            18 => WalRecord::ResultHidden {
+            17 => WalRecord::ResultHidden {
                 project: ProjectId(r.u64()?),
                 index: r.u64()? as usize,
                 hidden: r.bool()?,
@@ -745,11 +687,8 @@ mod tests {
                 task: TaskId(1 << 32),
                 key: ContributorKey("ck_feed".into()),
             },
-            WalRecord::ReportAccepted {
-                task: TaskId(1 << 32),
-                key: ContributorKey("ck_feed".into()),
-                error: None,
-                record: record(
+            WalRecord::ReportsAccepted {
+                records: vec![record(
                     TaskId(1 << 32),
                     ProjectId(1),
                     ExperimentId(0),
@@ -760,25 +699,20 @@ mod tests {
                     vec![1.0, 2.0],
                     3,
                     None,
-                ),
+                )],
             },
-            WalRecord::ReportBatchAccepted {
-                key: ContributorKey("ck_feed".into()),
-                items: vec![(
+            WalRecord::ReportsAccepted {
+                records: vec![record(
                     TaskId((1 << 32) | 1),
+                    ProjectId(1),
+                    ExperimentId(0),
+                    QueryId(1),
+                    "rowstore-2.0",
+                    "bench-server",
+                    &ContributorKey("ck_feed".into()),
+                    vec![4.0],
+                    0,
                     Some("timeout".into()),
-                    record(
-                        TaskId((1 << 32) | 1),
-                        ProjectId(1),
-                        ExperimentId(0),
-                        QueryId(1),
-                        "rowstore-2.0",
-                        "bench-server",
-                        &ContributorKey("ck_feed".into()),
-                        vec![4.0],
-                        0,
-                        Some("timeout".into()),
-                    ),
                 )],
             },
             WalRecord::TasksReaped {
@@ -893,7 +827,7 @@ mod tests {
         let text = b"1 2 00000000000000aa {}\n";
         let err = parse_wal(text).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("format version 2"), "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
         // The right magic with another version byte names that version.
         let err = parse_wal(b"SQALWAL\x07").unwrap_err();
         assert!(err.to_string().contains("version 7"), "{err}");

@@ -37,7 +37,7 @@ use crate::pool::{PoolEntry, QueryId, Strategy};
 use crate::project::{ExperimentId, Project, ProjectId, Role};
 use crate::push::{LocalWaiter, Notification, PushHub, PushWaiter};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
-use crate::results::{record, ResultRecord, ResultStore};
+use crate::results::{ResultRecord, ResultStore};
 use crate::shard::{ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
 use std::io;
@@ -752,7 +752,8 @@ impl SqalpelServer {
         out
     }
 
-    /// The driver's "report back" call.
+    /// The driver's "report back" call: a batch of one (see
+    /// [`report_batch`](Self::report_batch)).
     ///
     /// Reports are **idempotent per (task, contributor)**: if this key
     /// already filed a record for the task (a retry after a lost
@@ -765,106 +766,12 @@ impl SqalpelServer {
         task_id: TaskId,
         outcome: RunOutcome,
     ) -> PlatformResult<usize> {
+        let mut outcome = Some(outcome);
         let out = self.metrics.time("server.report_result_nanos", || {
-            let shard = self.state.shard_of_task(task_id)?;
-            let mut s = shard.write();
-            let task = s.queue.task(task_id)?.clone();
-            // The idempotency check applies only when this key does NOT hold
-            // the task: a running claim means this is a fresh report (e.g. the
-            // task failed, was requeued and re-claimed by the same key), not a
-            // retry of an accepted one.
-            let held_by_key = matches!(
-                &task.state,
-                TaskState::Running { contributor } if contributor == key
-            );
-            if !held_by_key {
-                if let Some(existing) = s.results.index_of(task_id, &key.0) {
-                    self.metrics.incr("server.report_result.duplicate");
-                    return Ok(existing);
-                }
-                // Refused up front — the same typed errors `queue.complete`
-                // would raise — so nothing is logged or mutated for a
-                // report that cannot be accepted.
-                return Err(match &task.state {
-                    TaskState::Running { .. } => PlatformError::AccessDenied(format!(
-                        "task #{} belongs to another contributor",
-                        task_id.0
-                    )),
-                    other => PlatformError::Invalid(format!(
-                        "task #{} is not running (state {other:?})",
-                        task_id.0
-                    )),
-                });
-            }
-            let error = outcome.error.clone();
-            let mut rec: ResultRecord = record(
-                task_id,
-                task.project,
-                task.experiment,
-                task.query,
-                &task.dbms_label,
-                &task.host,
-                key,
-                outcome.times_ms,
-                outcome.rows,
-                outcome.error,
-            );
-            rec.load_before = outcome.load_before;
-            rec.load_after = outcome.load_after;
-            rec.extras = outcome.extras;
-            rec.fingerprint = outcome.fingerprint;
-            rec.profile = outcome.profile;
-            // Zone-map effectiveness across everything reported to this
-            // server, visible at GET /v1/metrics.
-            if let Some(profile) = &rec.profile {
-                let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
-                    (a + op.chunks_scanned, b + op.chunks_skipped)
-                });
-                if scanned > 0 {
-                    self.metrics.add("scan.chunks_scanned", scanned);
-                }
-                if skipped > 0 {
-                    self.metrics.add("scan.chunks_skipped", skipped);
-                }
-            }
-            // One combined record: replay applies the queue completion
-            // and the stored result atomically. Logged *before* the queue
-            // mutation: if the append fails, the task stays Running and
-            // the admission slot stays held, so the contributor's retry
-            // can complete it once the log is writable again — in-memory,
-            // on-disk and admission state never diverge. Built by move and
-            // destructured back, so the record is not copied to be logged.
-            let logged = WalRecord::ReportAccepted {
-                task: task_id,
-                key: key.clone(),
-                error,
-                record: rec,
-            };
-            self.log(&logged)?;
-            let WalRecord::ReportAccepted { error, record: rec, .. } = logged else {
-                unreachable!("built just above")
-            };
-            s.queue
-                .complete(task_id, key, error)
-                .expect("validated above under this lock: task is held by this key");
-            let idx = s.results.push(rec);
-            let drained = experiment_drained(&s, task.experiment);
-            drop(s);
-            if self.admission.release(key, task_id) {
-                self.metrics.incr("admission.released");
-            }
-            self.metrics.incr("shard.reports");
-            self.metrics.incr("server.report_result.accepted");
-            if drained {
-                self.push.notify(&Notification::ExperimentFinished {
-                    project: task.project,
-                    experiment: task.experiment,
-                });
-            }
-            Ok(idx)
+            self.accept_reports(key, &[task_id], |_| outcome.take().expect("one report"), false)
         });
         self.maybe_snapshot();
-        out
+        Ok(out?[0] as usize)
     }
 
     /// Accept a whole batch of reports from one contributor in a single
@@ -875,157 +782,176 @@ impl SqalpelServer {
     /// The batch is **all-or-nothing per shard**: every report is
     /// validated under the shard lock before anything is logged or
     /// mutated, and the fresh ones ride one
-    /// [`WalRecord::ReportBatchAccepted`] append+flush — the group
-    /// commit. A batch spanning projects commits per shard in first-
-    /// appearance order; a later shard's refusal leaves earlier shards
-    /// committed (their reports re-resolve as duplicates on retry).
+    /// [`WalRecord::ReportsAccepted`] append+flush — the group commit. A
+    /// batch spanning projects commits per shard in first-appearance
+    /// order; a later shard's refusal leaves earlier shards committed
+    /// (their reports re-resolve as duplicates on retry).
     pub fn report_batch(
         &self,
         key: &ContributorKey,
         reports: &[(TaskId, RunOutcome)],
     ) -> PlatformResult<Vec<u64>> {
+        let ids: Vec<TaskId> = reports.iter().map(|(id, _)| *id).collect();
         let out = self.metrics.time("server.report_batch_nanos", || {
-            let mut indices = vec![0u64; reports.len()];
-            // Group input positions by owning project, preserving order.
-            let mut groups: Vec<(ProjectId, Vec<usize>)> = Vec::new();
-            for (pos, (task_id, _)) in reports.iter().enumerate() {
-                let project = crate::shard::project_of_task(*task_id);
-                match groups.iter_mut().find(|(p, _)| *p == project) {
-                    Some((_, positions)) => positions.push(pos),
-                    None => groups.push((project, vec![pos])),
-                }
-            }
-            let mut finished: Vec<(ProjectId, ExperimentId)> = Vec::new();
-            for (project, positions) in groups {
-                let shard = self.state.shard(project)?;
-                let mut s = shard.write();
-                // Validate the whole group before mutating anything.
-                let mut fresh: Vec<usize> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for &pos in &positions {
-                    let (task_id, _) = &reports[pos];
-                    if !seen.insert(task_id.0) {
-                        return Err(PlatformError::Invalid(format!(
-                            "task #{} appears twice in one batch",
-                            task_id.0
-                        )));
-                    }
-                    let task = s.queue.task(*task_id)?;
-                    let held_by_key = matches!(
-                        &task.state,
-                        TaskState::Running { contributor } if contributor == key
-                    );
-                    if held_by_key {
-                        fresh.push(pos);
-                        continue;
-                    }
-                    if let Some(existing) = s.results.index_of(*task_id, &key.0) {
-                        self.metrics.incr("server.report_result.duplicate");
-                        indices[pos] = existing as u64;
-                        continue;
-                    }
-                    return Err(match &task.state {
-                        TaskState::Running { .. } => PlatformError::AccessDenied(format!(
-                            "task #{} belongs to another contributor",
-                            task_id.0
-                        )),
-                        other => PlatformError::Invalid(format!(
-                            "task #{} is not running (state {other:?})",
-                            task_id.0
-                        )),
-                    });
-                }
-                if fresh.is_empty() {
-                    continue; // pure retry: everything resolved as duplicates
-                }
-                let mut items: Vec<(TaskId, Option<String>, ResultRecord)> =
-                    Vec::with_capacity(fresh.len());
-                let mut experiments: Vec<ExperimentId> = Vec::new();
-                for &pos in &fresh {
-                    let (task_id, outcome) = &reports[pos];
-                    // Borrow, don't clone: the task's SQL text is dead
-                    // weight here and a bulk batch holds hundreds.
-                    let task = s.queue.task(*task_id).expect("validated above");
-                    let outcome = outcome.clone();
-                    let error = outcome.error.clone();
-                    let mut rec: ResultRecord = record(
-                        *task_id,
-                        task.project,
-                        task.experiment,
-                        task.query,
-                        &task.dbms_label,
-                        &task.host,
-                        key,
-                        outcome.times_ms,
-                        outcome.rows,
-                        outcome.error,
-                    );
-                    rec.load_before = outcome.load_before;
-                    rec.load_after = outcome.load_after;
-                    rec.extras = outcome.extras;
-                    rec.fingerprint = outcome.fingerprint;
-                    rec.profile = outcome.profile;
-                    if let Some(profile) = &rec.profile {
-                        let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
-                            (a + op.chunks_scanned, b + op.chunks_skipped)
-                        });
-                        if scanned > 0 {
-                            self.metrics.add("scan.chunks_scanned", scanned);
-                        }
-                        if skipped > 0 {
-                            self.metrics.add("scan.chunks_skipped", skipped);
-                        }
-                    }
-                    if !experiments.contains(&task.experiment) {
-                        experiments.push(task.experiment);
-                    }
-                    items.push((*task_id, error, rec));
-                }
-                // The group commit: every fresh report of this shard in
-                // ONE framed append+flush, so the whole batch becomes
-                // durable — and replays — atomically. Logged before the
-                // queue mutations, same as the single-report path. The
-                // record is built by move and destructured back, so the
-                // batch is never deep-copied just to be logged.
-                let group = WalRecord::ReportBatchAccepted {
-                    key: key.clone(),
-                    items,
-                };
-                self.log(&group)?;
-                self.metrics.incr("wal.group_commits");
-                let WalRecord::ReportBatchAccepted { items, .. } = group else {
-                    unreachable!("built three lines up")
-                };
-                for (pos, (task_id, error, rec)) in fresh.iter().zip(items) {
-                    s.queue
-                        .complete(task_id, key, error)
-                        .expect("validated above under this lock");
-                    indices[*pos] = s.results.push(rec) as u64;
-                }
-                let ids: Vec<TaskId> = fresh.iter().map(|&pos| reports[pos].0).collect();
-                let released = self.admission.release_batch(key, &ids);
-                if released > 0 {
-                    self.metrics.add("admission.released", released as u64);
-                }
-                self.metrics.add("shard.reports", fresh.len() as u64);
-                self.metrics.add("server.report_batch.accepted", fresh.len() as u64);
-                for experiment in experiments {
-                    if experiment_drained(&s, experiment) {
-                        finished.push((project, experiment));
-                    }
-                }
-            }
-            // Notify outside every shard lock.
-            for (project, experiment) in finished {
-                self.push.notify(&Notification::ExperimentFinished {
-                    project,
-                    experiment,
-                });
-            }
-            Ok(indices)
+            self.accept_reports(key, &ids, |pos| reports[pos].1.clone(), true)
         });
         self.maybe_snapshot();
         out
+    }
+
+    /// The one report path behind [`report_result`](Self::report_result)
+    /// and [`report_batch`](Self::report_batch): per shard, validate,
+    /// build the records, log them as one [`WalRecord::ReportsAccepted`],
+    /// then apply. `outcome(pos)` yields the outcome reported for
+    /// `tasks[pos]`, asked only once that report is validated as fresh,
+    /// so a retried upload's duplicates are never copied. `batch` picks
+    /// the accepted counter and counts the shard commits as
+    /// `wal.group_commits`.
+    fn accept_reports(
+        &self,
+        key: &ContributorKey,
+        tasks: &[TaskId],
+        mut outcome: impl FnMut(usize) -> RunOutcome,
+        batch: bool,
+    ) -> PlatformResult<Vec<u64>> {
+        let mut indices = vec![0u64; tasks.len()];
+        // Group input positions by owning project, preserving order.
+        let mut groups: Vec<(ProjectId, Vec<usize>)> = Vec::new();
+        for (pos, task_id) in tasks.iter().enumerate() {
+            let project = crate::shard::project_of_task(*task_id);
+            match groups.iter_mut().find(|(p, _)| *p == project) {
+                Some((_, positions)) => positions.push(pos),
+                None => groups.push((project, vec![pos])),
+            }
+        }
+        let mut finished: Vec<(ProjectId, ExperimentId)> = Vec::new();
+        for (project, positions) in groups {
+            let shard = self.state.shard_of_task(tasks[positions[0]])?;
+            let mut s = shard.write();
+            // Validate the whole group before mutating anything, so nothing
+            // is logged for a report that cannot be accepted. The
+            // idempotency check applies only when this key does NOT hold
+            // the task: a running claim means a fresh report (e.g. the task
+            // failed, was requeued and re-claimed by the same key), not a
+            // retry.
+            let mut fresh: Vec<usize> = Vec::new();
+            let mut seen = std::collections::HashSet::new();
+            for &pos in &positions {
+                let task_id = tasks[pos];
+                if !seen.insert(task_id) {
+                    return Err(PlatformError::Invalid(format!(
+                        "task #{} appears twice in one batch",
+                        task_id.0
+                    )));
+                }
+                let task = s.queue.task(task_id)?;
+                if matches!(&task.state, TaskState::Running { contributor } if contributor == key) {
+                    fresh.push(pos);
+                } else if let Some(existing) = s.results.index_of(task_id, &key.0) {
+                    self.metrics.incr("server.report_result.duplicate");
+                    indices[pos] = existing as u64;
+                } else {
+                    // Neither held nor filed by this key: `complete` mutates
+                    // nothing for such a task and returns its typed refusal.
+                    return Err(s
+                        .queue
+                        .complete(task_id, key, None)
+                        .expect_err("the task is not held by this key"));
+                }
+            }
+            if fresh.is_empty() {
+                continue; // pure retry: everything resolved as duplicates
+            }
+            let mut records: Vec<ResultRecord> = Vec::with_capacity(fresh.len());
+            let mut experiments: Vec<ExperimentId> = Vec::new();
+            let (mut scanned, mut skipped) = (0, 0);
+            for &pos in &fresh {
+                let outcome = outcome(pos);
+                // Borrow, don't clone: the task's SQL text is dead weight
+                // here and a bulk batch holds hundreds.
+                let task = s.queue.task(tasks[pos]).expect("validated above");
+                if !experiments.contains(&task.experiment) {
+                    experiments.push(task.experiment);
+                }
+                for op in outcome.profile.iter().flatten() {
+                    scanned += op.chunks_scanned;
+                    skipped += op.chunks_skipped;
+                }
+                records.push(ResultRecord {
+                    task: task.id.0,
+                    project: task.project.0,
+                    experiment: task.experiment.0,
+                    query: task.query.0,
+                    dbms_label: task.dbms_label.clone(),
+                    host: task.host.clone(),
+                    contributor: key.0.clone(),
+                    times_ms: outcome.times_ms,
+                    rows: outcome.rows,
+                    error: outcome.error,
+                    load_before: outcome.load_before,
+                    load_after: outcome.load_after,
+                    extras: outcome.extras,
+                    hidden: false,
+                    fingerprint: outcome.fingerprint,
+                    profile: outcome.profile,
+                });
+            }
+            // Zone-map effectiveness across everything reported to this
+            // server, visible at GET /v1/metrics.
+            if scanned > 0 {
+                self.metrics.add("scan.chunks_scanned", scanned);
+            }
+            if skipped > 0 {
+                self.metrics.add("scan.chunks_skipped", skipped);
+            }
+            // One framed append+flush for the whole group, so it becomes
+            // durable — and replays — atomically. Logged *before* the
+            // queue mutations: if the append fails, the tasks stay
+            // Running and the admission slots held, so the contributor's
+            // retry can complete them once the log is writable again. The
+            // record is built by move and destructured back, so the
+            // results are not copied to be logged.
+            let logged = WalRecord::ReportsAccepted { records };
+            self.log(&logged)?;
+            if batch {
+                self.metrics.incr("wal.group_commits");
+            }
+            let WalRecord::ReportsAccepted { records } = logged else {
+                unreachable!("built just above")
+            };
+            for (&pos, rec) in fresh.iter().zip(records) {
+                s.queue
+                    .complete(tasks[pos], key, rec.error.clone())
+                    .expect("validated above under this lock: task is held by this key");
+                indices[pos] = s.results.push(rec) as u64;
+            }
+            for experiment in experiments {
+                if experiment_drained(&s, experiment) {
+                    finished.push((project, experiment));
+                }
+            }
+            drop(s);
+            let ids: Vec<TaskId> = fresh.iter().map(|&pos| tasks[pos]).collect();
+            let released = self.admission.release_batch(key, &ids);
+            if released > 0 {
+                self.metrics.add("admission.released", released as u64);
+            }
+            self.metrics.add("shard.reports", fresh.len() as u64);
+            let accepted = if batch {
+                "server.report_batch.accepted"
+            } else {
+                "server.report_result.accepted"
+            };
+            self.metrics.add(accepted, fresh.len() as u64);
+        }
+        // Notify outside every shard lock.
+        for (project, experiment) in finished {
+            self.push.notify(&Notification::ExperimentFinished {
+                project,
+                experiment,
+            });
+        }
+        Ok(indices)
     }
 
     /// Reap stuck runs (moderator cron).

@@ -175,6 +175,21 @@ pub struct WireClient {
     conn: Mutex<Option<FramedConn>>,
 }
 
+/// Unwrap the one reply variant an operation answers with. Anything else
+/// is a protocol mismatch, and only then is the reply rendered into the
+/// error: a successful call never debug-formats its payload.
+macro_rules! expect_reply {
+    ($reply:expr, $what:literal, $variant:pat => $out:expr) => {
+        match $reply {
+            $variant => Ok($out),
+            other => Err(PlatformError::Transport(format!(
+                concat!("expected ", $what, " reply, got {:?}"),
+                other
+            ))),
+        }
+    };
+}
+
 /// One attempt's outcome: retry-worthy transport failure, or a final
 /// typed result (success *or* a platform error — never retried).
 enum Attempt {
@@ -212,16 +227,23 @@ impl WireClient {
     /// method below goes through, also usable directly (the differential
     /// suite drives it with every [`Request`] variant).
     pub fn call(&self, op: &Request) -> PlatformResult<Reply> {
-        let mut last_failure = String::new();
-        for attempt in 0..self.retry.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
+        self.retrying(|| match self.proto {
+            Proto::V1Http => self.attempt_v1(op),
+            Proto::V2Framed => {
+                self.attempt_v2(op.op_name(), |c| c.send(op), |c| c.send_truncated(op))
             }
-            let outcome = match self.proto {
-                Proto::V1Http => self.attempt_v1(op),
-                Proto::V2Framed => self.attempt_v2(op),
-            };
-            match outcome {
+        })
+    }
+
+    /// The retry envelope: run `attempt` until it yields a final outcome
+    /// or the policy's attempts run out.
+    fn retrying(&self, mut attempt: impl FnMut() -> Attempt) -> PlatformResult<Reply> {
+        let mut last_failure = String::new();
+        for i in 0..self.retry.attempts.max(1) {
+            if i > 0 {
+                std::thread::sleep(self.retry.backoff(i - 1));
+            }
+            match attempt() {
                 Attempt::Final(result) => return result,
                 Attempt::Retry(msg) => last_failure = msg,
             }
@@ -277,44 +299,60 @@ impl WireClient {
         }
     }
 
-    /// v2: reuse (or establish) the persistent framed connection. Any
-    /// I/O failure tears the connection down so the next attempt starts
-    /// from a clean handshake.
-    fn attempt_v2(&self, op: &Request) -> Attempt {
+    /// A fresh v2 connection, handshake done.
+    fn connect_v2(&self) -> std::io::Result<FramedConn> {
+        FramedConn::connect(
+            &self.addr.to_string(),
+            self.connect_timeout,
+            self.io_timeout,
+            self.max_body,
+        )
+    }
+
+    /// v2: reuse (or establish) the persistent framed connection, `send`
+    /// the request (a single frame, or a bulk upload's continuation
+    /// frames) and read its one reply. Any I/O failure tears the
+    /// connection down so the next attempt starts from a clean handshake.
+    /// Under fault injection, `send_truncated` writes part of the request
+    /// and slams the connection instead.
+    fn attempt_v2(
+        &self,
+        name: &str,
+        send: impl FnOnce(&mut FramedConn) -> std::io::Result<u32>,
+        send_truncated: impl FnOnce(&mut FramedConn) -> std::io::Result<()>,
+    ) -> Attempt {
         let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
         let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            match FramedConn::connect(
-                &self.addr.to_string(),
-                self.connect_timeout,
-                self.io_timeout,
-                self.max_body,
-            ) {
-                Ok(conn) => *guard = Some(conn),
-                Err(e) => return Attempt::Retry(format!("{}: connect: {e}", op.op_name())),
-            }
-        }
         // Take the connection out of the slot: only a clean exchange
         // puts it back, so any failure path reconnects next attempt.
-        let mut conn = guard.take().expect("connection just established");
+        let mut conn = match guard.take().map_or_else(|| self.connect_v2(), Ok) {
+            Ok(conn) => conn,
+            Err(e) => return Attempt::Retry(format!("{name}: connect: {e}")),
+        };
         if self.drop_every != 0 && n.is_multiple_of(self.drop_every) {
-            // Half a frame on the wire, then gone — the server must
-            // discard it without dispatching (unlike v1's drop, the
+            // Part of the request on the wire, then gone — the server
+            // must discard it without dispatching (unlike v1's drop, the
             // request is NOT processed; the retry is the only delivery).
-            let _ = conn.send_truncated(op);
-            return Attempt::Retry(format!("{}: injected connection drop", op.op_name()));
+            let _ = send_truncated(&mut conn);
+            return Attempt::Retry(format!("{name}: injected connection drop"));
         }
-        match conn.call(op) {
+        match conn.exchange(send) {
             // A server-side transport error is the v2 analogue of 5xx.
             Ok(Err(PlatformError::Transport(msg))) => {
                 *guard = Some(conn);
-                Attempt::Retry(format!("{}: server transport error: {msg}", op.op_name()))
+                Attempt::Retry(format!("{name}: server transport error: {msg}"))
             }
             Ok(outcome) => {
                 *guard = Some(conn);
                 Attempt::Final(outcome)
             }
-            Err(e) => Attempt::Retry(format!("{}: {e}", op.op_name())),
+            // A reply that arrived but does not decode (or is oversized)
+            // would only fail again after the server ran the request
+            // again: final, and the connection is dropped.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                Attempt::Final(Err(PlatformError::Transport(format!("{name}: {e}"))))
+            }
+            Err(e) => Attempt::Retry(format!("{name}: {e}")),
         }
     }
 
@@ -331,20 +369,12 @@ impl WireClient {
             ));
         }
         let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            *guard = Some(
-                FramedConn::connect(
-                    &self.addr.to_string(),
-                    self.connect_timeout,
-                    self.io_timeout,
-                    self.max_body,
-                )
-                .map_err(|e| PlatformError::Transport(format!("pipeline connect: {e}")))?,
-            );
-        }
         // Take the connection out of the slot: on any failure it stays
         // out (dropped), so the next call starts from a clean handshake.
-        let mut conn = guard.take().expect("connection just established");
+        let mut conn = guard
+            .take()
+            .map_or_else(|| self.connect_v2(), Ok)
+            .map_err(|e| PlatformError::Transport(format!("pipeline connect: {e}")))?;
         let mut tags = Vec::with_capacity(ops.len());
         for op in ops {
             self.requests.fetch_add(1, Ordering::Relaxed);
@@ -370,17 +400,6 @@ impl WireClient {
             .collect::<PlatformResult<Vec<_>>>()
     }
 
-    fn expect<T>(
-        reply: Reply,
-        what: &str,
-        extract: impl FnOnce(Reply) -> Option<T>,
-    ) -> PlatformResult<T> {
-        let debug = format!("{reply:?}");
-        extract(reply).ok_or_else(|| {
-            PlatformError::Transport(format!("expected {what} reply, got {debug}"))
-        })
-    }
-
     // ------------------------------------------------- the typed surface
 
     pub fn register_user(&self, nickname: &str, email: &str) -> PlatformResult<UserId> {
@@ -388,18 +407,12 @@ impl WireClient {
             nickname: nickname.into(),
             email: email.into(),
         })?;
-        Self::expect(reply, "user", |r| match r {
-            Reply::User(u) => Some(u),
-            _ => None,
-        })
+        expect_reply!(reply, "user", Reply::User(u) => u)
     }
 
     pub fn issue_key(&self, user: UserId) -> PlatformResult<ContributorKey> {
         let reply = self.call(&Request::IssueKey { user })?;
-        Self::expect(reply, "key", |r| match r {
-            Reply::Key(k) => Some(k),
-            _ => None,
-        })
+        expect_reply!(reply, "key", Reply::Key(k) => k)
     }
 
     pub fn add_dbms(&self, entry: DbmsEntry) -> PlatformResult<()> {
@@ -412,10 +425,7 @@ impl WireClient {
 
     pub fn dbms_labels(&self) -> PlatformResult<Vec<String>> {
         let reply = self.call(&Request::DbmsLabels)?;
-        Self::expect(reply, "labels", |r| match r {
-            Reply::Labels(l) => Some(l),
-            _ => None,
-        })
+        expect_reply!(reply, "labels", Reply::Labels(l) => l)
     }
 
     pub fn create_project(
@@ -431,10 +441,7 @@ impl WireClient {
             synopsis: synopsis.into(),
             visibility,
         })?;
-        Self::expect(reply, "project", |r| match r {
-            Reply::Project(p) => Some(p),
-            _ => None,
-        })
+        expect_reply!(reply, "project", Reply::Project(p) => p)
     }
 
     pub fn invite(&self, project: ProjectId, owner: UserId, user: UserId) -> PlatformResult<()> {
@@ -472,10 +479,7 @@ impl WireClient {
 
     pub fn role_of(&self, project: ProjectId, user: UserId) -> PlatformResult<Role> {
         let reply = self.call(&Request::RoleOf { project, user })?;
-        Self::expect(reply, "role", |r| match r {
-            Reply::Role(role) => Some(role),
-            _ => None,
-        })
+        expect_reply!(reply, "role", Reply::Role(role) => role)
     }
 
     /// Add an experiment; the grammar travels as source text and is
@@ -501,10 +505,7 @@ impl WireClient {
             template_cap: template_cap as u64,
             pool_cap: pool_cap as u64,
         })?;
-        Self::expect(reply, "experiment", |r| match r {
-            Reply::Experiment(e) => Some(e),
-            _ => None,
-        })
+        expect_reply!(reply, "experiment", Reply::Experiment(e) => e)
     }
 
     pub fn seed_pool(
@@ -522,10 +523,7 @@ impl WireClient {
             n_random: n_random as u64,
             seed,
         })?;
-        Self::expect(reply, "seeded count", |r| match r {
-            Reply::Seeded(n) => Some(n as usize),
-            _ => None,
-        })
+        expect_reply!(reply, "seeded count", Reply::Seeded(n) => n as usize)
     }
 
     pub fn morph_pool(
@@ -545,10 +543,7 @@ impl WireClient {
             steps: steps as u64,
             seed,
         })?;
-        Self::expect(reply, "added queries", |r| match r {
-            Reply::Added(ids) => Some(ids),
-            _ => None,
-        })
+        expect_reply!(reply, "added queries", Reply::Added(ids) => ids)
     }
 
     pub fn enqueue_experiment(
@@ -562,10 +557,7 @@ impl WireClient {
             experiment,
             actor,
         })?;
-        Self::expect(reply, "enqueued count", |r| match r {
-            Reply::Enqueued(n) => Some(n as usize),
-            _ => None,
-        })
+        expect_reply!(reply, "enqueued count", Reply::Enqueued(n) => n as usize)
     }
 
     pub fn request_task(
@@ -580,10 +572,7 @@ impl WireClient {
             host: host.into(),
             claim: None,
         })?;
-        Self::expect(reply, "task handout", |r| match r {
-            Reply::Handout(t) => Some(t),
-            _ => None,
-        })
+        expect_reply!(reply, "task handout", Reply::Handout(t) => t)
     }
 
     /// [`WireClient::request_task`] with a claim nonce: a transport
@@ -603,10 +592,7 @@ impl WireClient {
             host: host.into(),
             claim: Some(claim),
         })?;
-        Self::expect(reply, "task handout", |r| match r {
-            Reply::Handout(t) => Some(t),
-            _ => None,
-        })
+        expect_reply!(reply, "task handout", Reply::Handout(t) => t)
     }
 
     /// Upload a whole experiment's results in one acked exchange. On v2
@@ -618,90 +604,21 @@ impl WireClient {
         key: &ContributorKey,
         reports: &[(TaskId, RunOutcome)],
     ) -> PlatformResult<Vec<u64>> {
+        // On v2 an attempt differs from `call` only in what it writes.
         let reply = match self.proto {
             Proto::V1Http => self.call(&Request::ReportBatch {
                 key: key.clone(),
                 reports: reports.to_vec(),
             })?,
-            Proto::V2Framed => self.call_batch(key, reports)?,
+            Proto::V2Framed => self.retrying(|| {
+                self.attempt_v2(
+                    "report_batch",
+                    |c| c.send_batch(key, reports),
+                    |c| c.send_batch_truncated(reports),
+                )
+            })?,
         };
-        Self::expect(reply, "batch indices", |r| match r {
-            Reply::Batch(idx) => Some(idx),
-            _ => None,
-        })
-    }
-
-    /// The bulk analogue of [`WireClient::call`]: same retry envelope,
-    /// but each v2 attempt streams the batch as continuation frames.
-    fn call_batch(
-        &self,
-        key: &ContributorKey,
-        reports: &[(TaskId, RunOutcome)],
-    ) -> PlatformResult<Reply> {
-        let mut last_failure = String::new();
-        for attempt in 0..self.retry.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
-            }
-            match self.attempt_batch_v2(key, reports) {
-                Attempt::Final(result) => return result,
-                Attempt::Retry(msg) => last_failure = msg,
-            }
-        }
-        Err(PlatformError::Transport(format!(
-            "{last_failure} (after {} attempts)",
-            self.retry.attempts.max(1)
-        )))
-    }
-
-    fn attempt_batch_v2(
-        &self,
-        key: &ContributorKey,
-        reports: &[(TaskId, RunOutcome)],
-    ) -> Attempt {
-        let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            match FramedConn::connect(
-                &self.addr.to_string(),
-                self.connect_timeout,
-                self.io_timeout,
-                self.max_body,
-            ) {
-                Ok(conn) => *guard = Some(conn),
-                Err(e) => return Attempt::Retry(format!("report_batch: connect: {e}")),
-            }
-        }
-        let mut conn = guard.take().expect("connection just established");
-        if self.drop_every != 0 && n.is_multiple_of(self.drop_every) {
-            // The connection dies mid-continuation-frame: the summary
-            // never goes out, so the server must drop the buffered parts
-            // undispatched and the retry is the only delivery.
-            let _ = conn.send_batch_truncated(reports);
-            return Attempt::Retry("report_batch: injected connection drop".into());
-        }
-        let exchange = (|| -> std::io::Result<PlatformResult<Reply>> {
-            let sent = conn.send_batch(key, reports)?;
-            let (tag, outcome) = conn.recv()?;
-            if tag != sent {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("batch ack tag {tag} does not match request tag {sent}"),
-                ));
-            }
-            Ok(outcome)
-        })();
-        match exchange {
-            Ok(Err(PlatformError::Transport(msg))) => {
-                *guard = Some(conn);
-                Attempt::Retry(format!("report_batch: server transport error: {msg}"))
-            }
-            Ok(outcome) => {
-                *guard = Some(conn);
-                Attempt::Final(outcome)
-            }
-            Err(e) => Attempt::Retry(format!("report_batch: {e}")),
-        }
+        expect_reply!(reply, "batch indices", Reply::Batch(idx) => idx)
     }
 
     /// Open a dedicated subscribed connection for server push, so a
@@ -712,13 +629,7 @@ impl WireClient {
         if self.proto != Proto::V2Framed {
             return None;
         }
-        let mut conn = FramedConn::connect(
-            &self.addr.to_string(),
-            self.connect_timeout,
-            self.io_timeout,
-            self.max_body,
-        )
-        .ok()?;
+        let mut conn = self.connect_v2().ok()?;
         conn.subscribe(key).ok()?;
         Some(Box::new(RemoteWaiter { conn }))
     }
@@ -734,37 +645,25 @@ impl WireClient {
             task,
             outcome: outcome.clone(),
         })?;
-        Self::expect(reply, "record index", |r| match r {
-            Reply::Index(n) => Some(n as usize),
-            _ => None,
-        })
+        expect_reply!(reply, "record index", Reply::Index(n) => n as usize)
     }
 
     pub fn queue_summary(&self) -> PlatformResult<QueueSummary> {
         let reply = self.call(&Request::QueueSummary)?;
-        Self::expect(reply, "queue summary", |r| match r {
-            Reply::Queue(q) => Some(q),
-            _ => None,
-        })
+        expect_reply!(reply, "queue summary", Reply::Queue(q) => q)
     }
 
     /// The server's metrics snapshot (`GET /v1/metrics`).
     pub fn metrics(&self) -> PlatformResult<MetricsSnapshot> {
         let reply = self.call(&Request::Metrics)?;
-        Self::expect(reply, "metrics snapshot", |r| match r {
-            Reply::Metrics(m) => Some(m),
-            _ => None,
-        })
+        expect_reply!(reply, "metrics snapshot", Reply::Metrics(m) => m)
     }
 
     pub fn reap_stuck(&self, timeout: Duration) -> PlatformResult<Vec<TaskId>> {
         let reply = self.call(&Request::ReapStuck {
             timeout_ms: timeout.as_millis() as u64,
         })?;
-        Self::expect(reply, "reaped tasks", |r| match r {
-            Reply::Reaped(ids) => Some(ids),
-            _ => None,
-        })
+        expect_reply!(reply, "reaped tasks", Reply::Reaped(ids) => ids)
     }
 
     pub fn requeue(&self, task: TaskId) -> PlatformResult<()> {
@@ -780,10 +679,7 @@ impl WireClient {
             project,
             key: key.clone(),
         })?;
-        Self::expect(reply, "results", |r| match r {
-            Reply::Results(rs) => Some(rs),
-            _ => None,
-        })
+        expect_reply!(reply, "results", Reply::Results(rs) => rs)
     }
 
     pub fn hide_result(
@@ -805,10 +701,7 @@ impl WireClient {
     /// CSV export (a raw-text response on v1, a string frame on v2).
     pub fn export_csv(&self, project: ProjectId, viewer: UserId) -> PlatformResult<String> {
         let reply = self.call(&Request::ExportCsv { project, viewer })?;
-        Self::expect(reply, "csv", |r| match r {
-            Reply::Csv(text) => Some(text),
-            _ => None,
-        })
+        expect_reply!(reply, "csv", Reply::Csv(text) => text)
     }
 
     /// Execute SQL on the server's attached engine. Passing back the
@@ -819,10 +712,7 @@ impl WireClient {
             sql: sql.into(),
             fingerprint,
         })?;
-        Self::expect(reply, "execution outcome", |r| match r {
-            Reply::Execution(out) => Some(out),
-            _ => None,
-        })
+        expect_reply!(reply, "execution outcome", Reply::Execution(out) => out)
     }
 }
 

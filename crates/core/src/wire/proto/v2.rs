@@ -40,9 +40,14 @@
 //!
 //! `Vec<ResultRecord>` and [`WireResultSet`] are encoded as per-column
 //! typed vectors rather than per-row tagged tuples: one type tag and one
-//! null bitmap per column, then the packed values. A column of mixed
-//! types (possible for `WireResultSet` cells in principle) falls back to
-//! per-cell tags under the reserved tag `0xFF`.
+//! null bitmap per column, then the packed values. A result-set column
+//! of mixed types, or one so sparse that this typed form would take less
+//! than a byte per row, is written per cell instead: the reserved tag
+//! `0xFF`, then a tag (`0` for a null) and a payload per cell. Decoded,
+//! every cell is a whole `WireValue`, so the decoder charges what it
+//! allocates against 32 bytes per frame byte (+32 KiB) and refuses a set
+//! that overdraws; the per-cell fallback keeps every encoded set within
+//! that budget.
 //!
 //! # Bulk frames
 //!
@@ -78,7 +83,7 @@ use crate::queue::{QueueSummary, TaskId};
 use crate::user::{ContributorKey, UserId};
 
 /// The version this codec speaks, exchanged in the Hello handshake.
-pub const PROTO_VERSION: u8 = 2;
+pub const PROTO_VERSION: u8 = 3;
 /// Frame header: u32 length + u32 tag.
 pub const HEADER_LEN: usize = 8;
 /// Default cap on one frame body — matches the v1 client's response cap.
@@ -149,7 +154,8 @@ const NK_QUEUE_READY: u8 = 0;
 const NK_EXPERIMENT_FINISHED: u8 = 1;
 
 // Cell type tags for columnar vectors. 0 marks an all-null column (no
-// values follow); 0xFF marks a mixed column (per-cell tags).
+// values follow) or, per cell, a null; 0xFF marks a column written per
+// cell.
 const CT_ALL_NULL: u8 = 0;
 const CT_BOOL: u8 = 1;
 const CT_INT: u8 = 2;
@@ -158,7 +164,7 @@ const CT_DECIMAL: u8 = 4;
 const CT_STR: u8 = 5;
 const CT_DATE: u8 = 6;
 const CT_INTERVAL: u8 = 7;
-const CT_MIXED: u8 = 0xFF;
+const CT_PER_CELL: u8 = 0xFF;
 
 // ---------------------------------------------------------- frame split
 
@@ -884,7 +890,7 @@ fn write_cell_payload(w: &mut W, v: &WireValue) {
     }
 }
 
-fn read_cell_payload(r: &mut R<'_>, tag: u8) -> D<WireValue> {
+fn read_cell_payload(r: &mut R<'_>, tag: u8, budget: &mut usize) -> D<WireValue> {
     Ok(match tag {
         CT_BOOL => WireValue::Bool(r.bool()?),
         CT_INT => WireValue::Int(r.i64()?),
@@ -893,7 +899,7 @@ fn read_cell_payload(r: &mut R<'_>, tag: u8) -> D<WireValue> {
             raw: r.i128()?,
             scale: r.u8()?,
         },
-        CT_STR => WireValue::Str(r.str()?),
+        CT_STR => WireValue::Str(read_str(r, budget)?),
         CT_DATE => WireValue::Date(r.i32()?),
         CT_INTERVAL => WireValue::Interval {
             months: r.i32()?,
@@ -903,53 +909,89 @@ fn read_cell_payload(r: &mut R<'_>, tag: u8) -> D<WireValue> {
     })
 }
 
-/// One column: `[tag][null bitmap][packed values]`. `tag` is the uniform
-/// cell type of the column (the common case — columns are typed), `0`
-/// for an all-null column, or `0xFF` for a mixed column, which falls
-/// back to a tag byte per non-null cell.
-fn write_column(w: &mut W, col: &[WireValue]) {
-    let mut uniform: Option<u8> = None;
-    let mut mixed = false;
-    for v in col {
-        if matches!(v, WireValue::Null) {
-            continue;
-        }
-        match uniform {
-            None => uniform = Some(cell_tag(v)),
-            Some(t) if t == cell_tag(v) => {}
-            Some(_) => {
-                mixed = true;
-                break;
-            }
-        }
-    }
-    let tag = if mixed { CT_MIXED } else { uniform.unwrap_or(CT_ALL_NULL) };
-    w.u8(tag);
-    w.bitmap(col.len(), |i| !matches!(col[i], WireValue::Null));
-    for v in col {
-        if matches!(v, WireValue::Null) {
-            continue;
-        }
-        if tag == CT_MIXED {
-            w.u8(cell_tag(v));
-        }
-        write_cell_payload(w, v);
+/// Bytes a non-null cell of type `tag` takes in a typed column, string
+/// contents aside.
+fn fixed_size(tag: u8) -> usize {
+    match tag {
+        CT_BOOL => 1,
+        CT_STR | CT_DATE => 4,
+        CT_INT | CT_FLOAT | CT_INTERVAL => 8,
+        CT_DECIMAL => 17,
+        _ => 0,
     }
 }
 
-fn read_column(r: &mut R<'_>, rows: usize) -> D<Vec<WireValue>> {
-    let tag = r.u8()?;
-    let present = r.bitmap(rows)?;
-    let mut col = Vec::with_capacity(rows);
-    for i in 0..rows {
-        if !bit(present, i) {
-            col.push(WireValue::Null);
-            continue;
+/// One column. Typed, `[tag][null bitmap][packed values]`: `tag` is the
+/// uniform cell type of the column, `0` if all null. Per cell, `[0xFF]`
+/// then `[cell tag][payload]` for every cell, a null being a bare `0`:
+/// for mixed columns, and for columns whose typed form, string contents
+/// aside, would take less than a byte per row. Decoded, every cell is a
+/// 32-byte `WireValue`; a byte per cell keeps the column within
+/// [`read_result_set`]'s budget of 32 decoded bytes per frame byte.
+fn write_column(w: &mut W, col: &[WireValue]) {
+    let mut uniform: Option<u8> = None;
+    let mut present = 0;
+    let mut mixed = false;
+    for v in col.iter().filter(|v| !matches!(v, WireValue::Null)) {
+        present += 1;
+        match uniform {
+            None => uniform = Some(cell_tag(v)),
+            Some(t) => mixed |= t != cell_tag(v),
         }
-        let cell_tag = if tag == CT_MIXED { r.u8()? } else { tag };
-        col.push(read_cell_payload(r, cell_tag)?);
+    }
+    let tag = uniform.unwrap_or(CT_ALL_NULL);
+    if !mixed && 1 + col.len().div_ceil(8) + present * fixed_size(tag) >= col.len() {
+        w.u8(tag);
+        w.bitmap(col.len(), |i| !matches!(col[i], WireValue::Null));
+        for v in col {
+            write_cell_payload(w, v);
+        }
+    } else {
+        w.u8(CT_PER_CELL);
+        for v in col {
+            w.u8(cell_tag(v));
+            write_cell_payload(w, v);
+        }
+    }
+}
+
+fn read_column(r: &mut R<'_>, rows: usize, budget: &mut usize) -> D<Vec<WireValue>> {
+    let tag = r.u8()?;
+    spend(budget, rows.saturating_mul(std::mem::size_of::<WireValue>()))?;
+    let mut col = Vec::with_capacity(rows);
+    if tag == CT_PER_CELL {
+        for _ in 0..rows {
+            col.push(match r.u8()? {
+                CT_ALL_NULL => WireValue::Null,
+                cell_tag => read_cell_payload(r, cell_tag, budget)?,
+            });
+        }
+    } else {
+        let present = r.bitmap(rows)?;
+        for i in 0..rows {
+            col.push(if bit(present, i) {
+                read_cell_payload(r, tag, budget)?
+            } else {
+                WireValue::Null
+            });
+        }
     }
     Ok(col)
+}
+
+/// Charge `n` decoded bytes to a result set's budget.
+fn spend(budget: &mut usize, n: usize) -> D<()> {
+    *budget = budget
+        .checked_sub(n)
+        .ok_or("result set decodes past 32x its frame bytes")?;
+    Ok(())
+}
+
+/// A string, its bytes charged to the budget before they are copied.
+fn read_str(r: &mut R<'_>, budget: &mut usize) -> D<String> {
+    let n = r.u32()? as usize;
+    spend(budget, n)?;
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|e| format!("non-UTF-8 string: {e}"))
 }
 
 fn write_result_set(w: &mut W, rs: &WireResultSet) {
@@ -964,15 +1006,22 @@ fn write_result_set(w: &mut W, rs: &WireResultSet) {
 }
 
 fn read_result_set(r: &mut R<'_>) -> D<WireResultSet> {
-    // A column costs at least its name length, a tag byte and an
-    // nrows-bit presence bitmap.
+    // A column costs at least its name length and a tag byte.
     let ncols = r.count(5)?;
     let nrows = r.u32()? as usize;
-    if ncols.saturating_mul(nrows.div_ceil(8)) > r.remaining() {
-        return Err(format!("result set of {ncols}x{nrows} exceeds the frame"));
-    }
-    let columns = (0..ncols).map(|_| r.str()).collect::<D<_>>()?;
-    let data = (0..ncols).map(|_| read_column(r, nrows)).collect::<D<_>>()?;
+    // Decoded, a cell is a 32-byte `WireValue` however few bits it took
+    // on the wire. Every allocation below is charged, before it is made,
+    // to 32 bytes per frame byte left (+32 KiB), so a set decodes within
+    // the 32x + 64 KiB every decoder meets; `write_column` spends at
+    // least a byte per cell, so every set it encodes fits.
+    let mut budget = r.remaining().saturating_mul(32) + (32 << 10);
+    spend(&mut budget, ncols * 2 * std::mem::size_of::<Vec<u8>>())?;
+    let columns = (0..ncols)
+        .map(|_| read_str(r, &mut budget))
+        .collect::<D<_>>()?;
+    let data = (0..ncols)
+        .map(|_| read_column(r, nrows, &mut budget))
+        .collect::<D<_>>()?;
     Ok(WireResultSet { columns, data })
 }
 
@@ -1237,6 +1286,64 @@ mod tests {
         match round_trip_reply(Ok(Reply::Execution(out))).unwrap() {
             Reply::Execution(back) => assert_eq!(back.result, rs),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn null_heavy_result_sets_round_trip_and_inflated_ones_are_refused() {
+        let round_trip = |data: Vec<Vec<WireValue>>| {
+            let result = WireResultSet {
+                columns: (0..data.len()).map(|c| format!("c{c}")).collect(),
+                data,
+            };
+            let outcome = Ok(Reply::Execution(ExecOutcome {
+                result: result.clone(),
+                fingerprint: 1,
+                cache: CacheStatus::Hit,
+            }));
+            match round_trip_reply(outcome) {
+                Ok(Reply::Execution(back)) => assert_eq!(back.result, result),
+                other => panic!("{other:?}"),
+            }
+        };
+        let rows = 1 << 16;
+        let nulls = vec![WireValue::Null; rows];
+        let sparse = |every: usize, v: fn(usize) -> WireValue| -> Vec<WireValue> {
+            (0..rows)
+                .map(|i| if i % every == 0 { v(i) } else { WireValue::Null })
+                .collect()
+        };
+        // All null, one Int in sixteen, half-null Bools, a lone long
+        // string among nulls, and a mixed column: all decode as sent.
+        round_trip(vec![nulls.clone()]);
+        round_trip(vec![sparse(16, |i| WireValue::Int(i as i64))]);
+        round_trip(vec![sparse(2, |i| WireValue::Bool(i % 4 == 0))]);
+        round_trip(vec![sparse(rows, |_| WireValue::Str("x".repeat(1 << 15)))]);
+        round_trip(vec![
+            sparse(3, |i| WireValue::Date(i as i32)),
+            sparse(5, |_| WireValue::Str("y".into())),
+            (0..rows)
+                .map(|i| match i % 3 {
+                    0 => WireValue::Int(i as i64),
+                    1 => WireValue::Str("z".into()),
+                    _ => WireValue::Null,
+                })
+                .collect(),
+        ]);
+        // The same cells hand-written in the typed form, a bitmap bit
+        // per null, would decode at ~256x (all null) or ~51x (one Int in
+        // sixteen) their bytes: refused, not inflated.
+        for (tag, every, payload) in [(CT_ALL_NULL, 0, 0), (CT_INT, 16, 8)] {
+            let mut w = W::default();
+            w.u32(1);
+            w.u32(rows as u32);
+            w.str("c0");
+            w.u8(tag);
+            w.bitmap(rows, |i| every != 0 && i % every == 0);
+            let present = rows.checked_div(every).unwrap_or(0);
+            w.buf.extend(vec![0u8; present * payload]);
+            let err = read_result_set(&mut R::new(&w.buf)).unwrap_err();
+            assert!(err.contains("past 32x"), "{err}");
         }
     }
 

@@ -127,7 +127,17 @@ impl FramedConn {
 
     /// One serial request/response exchange.
     pub fn call(&mut self, req: &Request) -> io::Result<PlatformResult<Reply>> {
-        let sent = self.send(req)?;
+        self.exchange(|c| c.send(req))
+    }
+
+    /// Write one request with `send` — a single frame, or a bulk upload's
+    /// continuation frames ([`FramedConn::send_batch`]) — and read the
+    /// reply to its tag.
+    pub(crate) fn exchange(
+        &mut self,
+        send: impl FnOnce(&mut Self) -> io::Result<u32>,
+    ) -> io::Result<PlatformResult<Reply>> {
+        let sent = send(self)?;
         let (tag, outcome) = self.recv()?;
         if tag != sent {
             return Err(bad(format!(

@@ -7,7 +7,7 @@
 //! connection drops never double-report, and a warm plan cache shows its
 //! hits at `GET /v1/metrics` while returning byte-identical results.
 
-use sqalpel_core::wire::Request;
+use sqalpel_core::wire::{Request, WireValue};
 use sqalpel_core::{
     DbmsEntry, DriverConfig, ExecBackend, ExperimentDriver, MockConnector, PlatformError, Proto,
     ProjectId, RetryPolicy, SqalpelServer, UserId, V2Config, V2Server, Visibility, WireClient,
@@ -193,6 +193,36 @@ fn typed_errors_are_transport_invariant() {
     assert!(matches!(v2.take_down(ProjectId(99)), Err(PlatformError::UnknownProject(99))));
 }
 
+/// A report naming a task of a project that does not exist is refused
+/// as `UnknownTask` — single or batch, in process, over v1 and over v2.
+#[test]
+fn reports_into_unknown_projects_are_unknown_task_everywhere() {
+    use sqalpel_core::shard::TASK_PROJECT_SHIFT;
+    use sqalpel_core::TaskId;
+    let server = Arc::new(SqalpelServer::new());
+    let (_w1, _w2, v1, v2) = both_wires(&server);
+    let user = v1.register_user("ghost", "ghost@x.io").unwrap();
+    let key = v1.issue_key(user).unwrap();
+    let task = TaskId((99 << TASK_PROJECT_SHIFT) + 1);
+    let outcome = driver().run("select 1");
+    let expected = PlatformError::UnknownTask(task.0);
+    assert_eq!(
+        server.report_result(&key, task, outcome.clone()).unwrap_err(),
+        expected
+    );
+    assert_eq!(
+        server.report_batch(&key, &[(task, outcome.clone())]).unwrap_err(),
+        expected
+    );
+    for client in [&v1, &v2] {
+        assert_eq!(client.report_result(&key, task, &outcome).unwrap_err(), expected);
+        assert_eq!(
+            client.report_batch(&key, &[(task, outcome.clone())]).unwrap_err(),
+            expected
+        );
+    }
+}
+
 /// A pipelined batch must return exactly what the same ops return when
 /// sent serially — same order, same values — and interleaves cheap and
 /// fallible ops so per-frame errors stay correlated by tag.
@@ -302,6 +332,45 @@ fn warm_plan_cache_hits_show_at_v1_metrics_with_identical_results() {
     // authoritative one, so results stay correct (miss, not poison).
     let lied = v2.execute(sql, Some(cold.fingerprint ^ 0xdead)).unwrap();
     assert_eq!(format!("{:?}", lied.result), format!("{:?}", cold.result));
+}
+
+/// Null-heavy result sets — a null is one bitmap bit in a typed v2
+/// column but a whole `WireValue` decoded — cross both transports as the
+/// same values, and each v2 `Execute` is one request and one execution:
+/// nothing is refused, retried or run twice.
+#[test]
+fn null_heavy_result_sets_decode_once_on_both_transports() {
+    let server = Arc::new(SqalpelServer::new());
+    let (_w1, _w2, v1, v2) = both_wires(&server);
+    let executions = |s: &Arc<SqalpelServer>| {
+        let m = s.metrics();
+        m.counter("plan_cache.hits") + m.counter("plan_cache.misses")
+    };
+    // All null; about one Int in sixteen; Bools about half null.
+    let cases = [
+        ("select null from lineitem", 1.0),
+        ("select case when l_quantity < 4 then l_orderkey end from lineitem", 0.9),
+        (
+            "select case when l_quantity < 25 then l_orderkey < 3000 end from lineitem",
+            0.4,
+        ),
+    ];
+    for (sql, min_null_share) in cases {
+        let over_v1 = v1.execute(sql, None).unwrap();
+        let (sent, ran) = (v2.requests_sent(), executions(&server));
+        let over_v2 = v2.execute(sql, None).unwrap();
+        assert_eq!(v2.requests_sent() - sent, 1, "{sql}: one v2 request");
+        assert_eq!(executions(&server) - ran, 1, "{sql}: one execution");
+        assert_eq!(over_v2.result, over_v1.result, "{sql}: same decoded set");
+        let col = &over_v2.result.data[0];
+        let nulls = col.iter().filter(|v| matches!(v, WireValue::Null)).count();
+        assert!(col.len() > 5000, "{sql}: {} rows", col.len());
+        assert!(
+            nulls as f64 >= min_null_share * col.len() as f64,
+            "{sql}: {nulls} nulls in {} rows",
+            col.len()
+        );
+    }
 }
 
 /// The generic worker pool runs unchanged over the framed transport —
